@@ -76,18 +76,9 @@ class RunConfig:
         return "rc" if self.paradigm == CP300 else "constrained"
 
     def validate(self) -> None:
+        """Checks no builder makes; the pattern and schedule builders own the rest."""
         if self.paradigm not in (CP300, XP300):
             raise ValidationError(f"paradigm must be {CP300!r} or {XP300!r}")
-        if self.n < 2:
-            raise ValidationError("grid dimension must be >= 2")
-        if self.reps < 1:
-            raise ValidationError("reps must be >= 1")
-        if self.isi_s <= 0:
-            raise ValidationError("isi_s must be positive")
-        if not self.target_text:
-            raise ValidationError("target_text is empty")
-        if self.resolved_pattern_kind() not in ("rc", "permuted", "constrained"):
-            raise ValidationError(f"unknown pattern kind {self.pattern_kind!r}")
         if self.synth.fs_hz <= 2 * self.pipeline.high_hz:
             raise ValidationError("synth fs_hz must exceed twice the bandpass upper edge")
 
@@ -119,10 +110,6 @@ def _apply_section(obj, raw: dict, nested: dict, where: str) -> None:
             _apply_section(getattr(obj, key), value, {}, f"{where}:{key}")
         else:
             setattr(obj, key, value)
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    return asdict(cfg)
 
 
 # ---------------------------------------------------------------- commands
@@ -212,18 +199,10 @@ def cmd_simulate(args) -> int:
         visual_templates=visual,
     )
     meta = {
-        "paradigm": cfg.paradigm,
+        **pipeline.schedule_meta(sched),
         "seed": args.seed,
-        "n": cfg.n,
-        "reps": cfg.reps,
-        "isi_s": cfg.isi_s,
-        "flash_duration_s": sched.flash_duration_s,
-        "inter_char_gap_s": cfg.inter_char_gap_s,
-        "slots_per_repetition": sched.slots_per_repetition,
         "target_text": cfg.target_text,
-        "targets": [list(t) for t in targets],
-        "pattern": p.to_json(),
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
     }
     session_io.write_session(rec, args.out, meta=meta)
     print(
@@ -254,49 +233,39 @@ def _model_bytes(model: SpatialFilterModel | BldaModel) -> bytes:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    result, manifest = _directional_eval(args.train_session, args.test_session, cfg)
-    accuracy = result.accuracy_by_k
-    auc = result.auc
-    curves = [("roc.csv", result.roc)]
+    train_rec = session_io.read_session(args.train_session)
+    test_rec = session_io.read_session(args.test_session)
+    # (session to fit on, session to score, bundle of the scored session)
+    directions = [(train_rec, test_rec, args.test_session)]
     if args.swap:
-        swapped, _ = _directional_eval(args.test_session, args.train_session, cfg)
-        accuracy = (accuracy + swapped.accuracy_by_k) / 2.0
-        auc = (auc + swapped.auc) / 2.0
-        curves.append(("roc_swap.csv", swapped.roc))
+        directions.append((test_rec, train_rec, args.train_session))
+    runs = []
+    for fit_rec, score_rec, score_path in directions:
+        sched = pipeline.schedule_from_bundle(session_io.read_manifest(score_path), score_rec.events)
+        matrix = patterns.default_matrix(sched.n)
+        runs.append((sched, pipeline.evaluate(fit_rec, score_rec, sched, cfg.pipeline, matrix)))
+    accuracy = np.mean([result.accuracy_by_k for _, result in runs], axis=0)
+    auc = float(np.mean([result.auc for _, result in runs]))
 
-    meta = manifest["meta"]
+    test = runs[0][0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,accuracy,itr_bpm"]
     for k, acc in enumerate(accuracy, start=1):
         itr = metrics.itr_bpm(
-            float(acc),
-            meta["n"] * meta["n"],
-            meta["paradigm"],
-            reps=k,
-            isi_s=meta["isi_s"],
-            n=meta["n"],
+            float(acc), test.n * test.n, test.paradigm, reps=k, isi_s=test.isi_s, n=test.n
         )
         lines.append(f"{k},{float(acc)!r},{itr!r}")
     atomic_write(out / "metrics.csv", ("\n".join(lines) + "\n").encode())
-    for name, curve in curves:
-        roc_lines = ["fpr,tpr"] + [f"{float(fpr)!r},{float(tpr)!r}" for fpr, tpr in curve.points]
-        atomic_write(out / name, ("\n".join(roc_lines) + "\n").encode())
-    atomic_write(out / "summary.txt", f"auc={float(auc)!r}\n".encode())
-    truth = [(int(r), int(c)) for r, c in meta["targets"]]
-    atomic_write(out / "decisions.csv", decisions_csv(result.decisions, truth).encode())
+    for suffix, (sched, result) in zip(("", "_swap"), runs):
+        points = result.roc.points
+        roc_lines = ["fpr,tpr"] + [f"{float(fpr)!r},{float(tpr)!r}" for fpr, tpr in points]
+        atomic_write(out / f"roc{suffix}.csv", ("\n".join(roc_lines) + "\n").encode())
+        decisions = decisions_csv(result.decisions, sched.targets)
+        atomic_write(out / f"decisions{suffix}.csv", decisions.encode())
+    atomic_write(out / "summary.txt", f"auc={auc!r}\n".encode())
     print(f"wrote {out}: auc={auc:.4f}, accuracy@k={accuracy[-1]:.4f} (k={len(accuracy)})")
     return EXIT_OK
-
-
-def _directional_eval(train_path, test_path, cfg: RunConfig):
-    train_rec = session_io.read_session(train_path)
-    test_rec = session_io.read_session(test_path)
-    test_manifest = session_io.read_manifest(test_path)
-    test_schedule = pipeline.schedule_from_bundle(test_manifest, test_rec.events)
-    matrix = patterns.default_matrix(test_schedule.n)
-    result = pipeline.evaluate(train_rec, test_rec, test_schedule, cfg.pipeline, matrix)
-    return result, test_manifest
 
 
 def cmd_report(args) -> int:
@@ -364,6 +333,12 @@ def _read_eval_dir(path) -> dict:
 # ---------------------------------------------------------------- parser
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p300speller",
@@ -374,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pattern", help="emit a flash pattern as JSON")
     p.add_argument("--kind", choices=["rc", "permuted", "constrained"], default="constrained")
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("simulate", help="write a synthetic session bundle")
     p.add_argument("--paradigm", choices=[CP300, XP300], default=None)
     p.add_argument("--out", required=True, help="bundle directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--isi", type=float, default=None)

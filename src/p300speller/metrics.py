@@ -6,7 +6,7 @@ import numpy as np
 from scipy import special
 
 from .errors import PipelineError, ValidationError
-from .scheduler import CP300, XP300
+from .scheduler import slots_per_repetition
 
 
 @dataclass
@@ -44,19 +44,12 @@ def bits_per_selection(p: float, m: int) -> float:
 def itr_bpm(p: float, m: int, paradigm: str, reps: int, isi_s: float, n: int = 6) -> float:
     """Bits per minute from accuracy and the paradigm timing model.
 
-    A repetition occupies 2n ISI slots (cp300) or 2n + 2 (xp300: two
-    pause slots); a character takes reps * slots * isi seconds, with no
+    A character takes reps * slots_per_repetition * isi seconds, with no
     inter-character gap.
     """
     if reps < 1:
         raise ValidationError(f"repetitions must be >= 1, got {reps}")
-    if paradigm == CP300:
-        slots = 2 * n
-    elif paradigm == XP300:
-        slots = 2 * n + 2
-    else:
-        raise ValidationError(f"unknown paradigm {paradigm!r}")
-    t_char_s = reps * slots * isi_s
+    t_char_s = reps * slots_per_repetition(paradigm, n) * isi_s
     return bits_per_selection(p, m) * 60.0 / t_char_s
 
 

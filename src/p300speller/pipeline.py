@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blda, decoder, dsp, metrics, xdawn
-from .errors import ValidationError
+from .errors import BundleError, PipelineError
 from .patterns import FlashPattern, SpellerMatrix
-from .scheduler import Schedule, StimulusEvent
+from .scheduler import Schedule, StimulusEvent, slots_per_repetition
 
 
 @dataclass
@@ -44,9 +44,15 @@ class EvalResult:
 
 
 def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:
-    """Bandpass then decimate."""
+    """Bandpass then decimate; a non-finite input sample shows up in every
+    later output sample of its channel (the filter is a causal IIR)."""
     spec = dsp.design_bandpass(rec.fs_hz, cfg.low_hz, cfg.high_hz, cfg.filter_order)
-    return dsp.decimate(dsp.filter_recording(spec, rec), cfg.fs_out_hz)
+    low = dsp.decimate(dsp.filter_recording(spec, rec), cfg.fs_out_hz)
+    finite = np.isfinite(low.samples).all(axis=0)
+    if not finite.all():
+        name = low.channel_names[int(np.argmin(finite))]
+        raise PipelineError(f"channel {name!r} holds non-finite samples")
+    return low
 
 
 def train_models(
@@ -90,11 +96,28 @@ def evaluate(
     return EvalResult(accuracy_by_k=accuracy, roc=curve, auc=curve.auc, decisions=decisions)
 
 
+def schedule_meta(schedule: Schedule) -> dict:
+    """Bundle ``meta`` keys for a schedule, read back by schedule_from_bundle
+    (``n`` and ``slots_per_repetition`` only record provenance)."""
+    return {
+        "paradigm": schedule.paradigm,
+        "n": schedule.n,
+        "reps": schedule.reps,
+        "isi_s": schedule.isi_s,
+        "flash_duration_s": schedule.flash_duration_s,
+        "inter_char_gap_s": schedule.inter_char_gap_s,
+        "slots_per_repetition": schedule.slots_per_repetition,
+        "targets": [list(t) for t in schedule.targets],
+        "pattern": schedule.pattern.to_json(),
+    }
+
+
 def schedule_from_bundle(manifest: dict, events: list[StimulusEvent]) -> Schedule:
-    """Rebuild the Schedule a simulated bundle was generated from."""
+    """Rebuild the Schedule a bundle was generated from (see schedule_meta)."""
     meta = manifest.get("meta", {})
     try:
         pattern = FlashPattern.from_json(meta["pattern"])
+        slots_per_repetition(meta["paradigm"], pattern.n)  # rejects an unknown paradigm
         return Schedule(
             pattern=pattern,
             paradigm=meta["paradigm"],
@@ -106,5 +129,5 @@ def schedule_from_bundle(manifest: dict, events: list[StimulusEvent]) -> Schedul
             seed=meta.get("seed"),
             inter_char_gap_s=float(meta.get("inter_char_gap_s", 0.0)),
         )
-    except KeyError as exc:
-        raise ValidationError(f"session manifest lacks schedule metadata ({exc})") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"session manifest lacks usable schedule metadata ({exc})") from exc

@@ -14,7 +14,6 @@ Onsets are laid out on a global grid of ISI slots; every event records
 its integer slot so interval statistics stay exact multiples of the ISI.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +70,15 @@ class StimulusEvent:
         )
 
 
+def slots_per_repetition(paradigm: str, n: int) -> int:
+    """ISI slots in one repetition: 2n flashes, plus xp300's two pauses."""
+    if paradigm == CP300:
+        return 2 * n
+    if paradigm == XP300:
+        return 2 * n + 2
+    raise ValidationError(f"unknown paradigm {paradigm!r}")
+
+
 @dataclass
 class Schedule:
     """Time-ordered stimulus events for one copy-spelling session."""
@@ -91,17 +99,10 @@ class Schedule:
 
     @property
     def slots_per_repetition(self) -> int:
-        return 2 * self.n + 2 if self.paradigm == XP300 else 2 * self.n
+        return slots_per_repetition(self.paradigm, self.n)
 
     def flash_events(self) -> list[StimulusEvent]:
         return [e for e in self.events if e.kind == FLASH]
-
-    def events_jsonl(self) -> str:
-        """Serialize events as JSON lines (one event object per line)."""
-        return "".join(
-            json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-            for e in self.events
-        )
 
 
 @dataclass(frozen=True)

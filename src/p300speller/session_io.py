@@ -3,7 +3,7 @@
 A bundle is a directory of three files:
 
 * ``manifest.json`` -- format version, rate, geometry, channel names, and
-  a free-form ``meta`` block (paradigm, seed, config echo, ...).
+  a ``meta`` block (``pipeline.schedule_meta`` plus free-form provenance).
 * ``signal.f32`` -- little-endian IEEE-754 float32, sample-major: all
   channels of sample 0, then sample 1, and so on.
 * ``events.jsonl`` -- one stimulus-event object per line, streamable.
@@ -49,17 +49,20 @@ def write_session(rec: Recording, path, meta: dict | None = None) -> SessionBund
         "meta": meta or {},
     }
     signal = np.ascontiguousarray(rec.samples, dtype="<f4")
-    events = "".join(
-        json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-        for e in rec.events
-    )
     atomic_write(path / SIGNAL_NAME, signal.tobytes())
-    atomic_write(path / EVENTS_NAME, events.encode())
+    atomic_write(path / EVENTS_NAME, events_jsonl(rec.events).encode())
     atomic_write(
         path / MANIFEST_NAME,
         (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
     )
     return SessionBundle(path=path, manifest=manifest)
+
+
+def events_jsonl(events: list[StimulusEvent]) -> str:
+    """One compact, key-sorted JSON object per event and line."""
+    return "".join(
+        json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for e in events
+    )
 
 
 def read_manifest(path) -> dict:
@@ -82,8 +85,15 @@ def read_session(path) -> Recording:
     """Inverse of write_session."""
     path = Path(path)
     manifest = read_manifest(path)
-    n_samples = int(manifest["n_samples"])
-    n_channels = int(manifest["n_channels"])
+    try:
+        n_samples = int(manifest["n_samples"])
+        n_channels = int(manifest["n_channels"])
+        fs_hz = float(manifest["fs_hz"])
+        channel_names = tuple(manifest["channel_names"])
+        if not (n_samples > 0 and n_channels == len(channel_names) > 0 and 0 < fs_hz < np.inf):
+            raise ValueError("needs samples, one name per channel and a finite rate > 0")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
 
     raw = (path / SIGNAL_NAME).read_bytes()
     expected = n_samples * n_channels * 4
@@ -104,12 +114,7 @@ def read_session(path) -> Recording:
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise BundleError(f"{path / EVENTS_NAME} line {lineno}: {exc}") from exc
 
-    return Recording(
-        fs_hz=float(manifest["fs_hz"]),
-        samples=samples,
-        channel_names=tuple(manifest["channel_names"]),
-        events=events,
-    )
+    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
 
 
 def atomic_write(target: Path, data: bytes) -> None:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -94,6 +95,32 @@ class TestSimulate:
         )
         assert code == 2
         assert "unknown_knob" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"n": 1}, {"reps": 0}, {"isi_s": 0}, {"target_text": ""}, {"pattern_kind": "foo"}],
+    )
+    def test_out_of_range_config_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run(
+            ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--out", "s", "--seed", "-1"],
+         ["pattern", "--kind", "permuted", "--n", "4", "--seed", "-1"]],
+    )
+    def test_negative_seed_rejected_by_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -211,6 +238,112 @@ class TestEval:
             assert code == 0
             outs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert outs[0] == outs[1]
+
+
+def eval_argv(train, test, out, swap=True):
+    argv = ["eval", "--train-session", str(train), "--test-session", str(test), "--out", str(out)]
+    return argv + (["--swap"] if swap else [])
+
+
+def edit_manifest(bundle, change):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestEvalSwapDecisions:
+    def test_decision_files_average_to_metrics(self, tmp_path, capsys):
+        # a weak response, so accuracy varies with k and between directions
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"template_scale": 0.12}}))
+        for name, seed in (("a", 1), ("b", 2)):
+            argv = ["simulate", "--out", str(tmp_path / name), "--seed", str(seed)]
+            assert main(argv + FAST_SIM + ["--config", str(cfg)]) == 0
+        out = tmp_path / "eval"
+        code, _, _ = run(eval_argv(tmp_path / "a", tmp_path / "b", out), capsys)
+        assert code == 0
+        correct = {}
+        for name in ("decisions.csv", "decisions_swap.csv"):
+            for line in (out / name).read_text().splitlines()[1:]:
+                _, k, _, hit = line.split(",")
+                correct.setdefault(int(k), []).append(int(hit))
+        accuracy = [float(line.split(",")[1])
+                    for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert len(set(accuracy)) > 1
+        assert accuracy == pytest.approx([np.mean(correct[k]) for k in sorted(correct)], abs=1e-12)
+
+    def test_forward_decisions_unchanged_by_swap(self, session_pair, tmp_path, capsys):
+        a, b = session_pair / "a", session_pair / "b"
+        assert run(eval_argv(a, b, tmp_path / "one", swap=False), capsys)[0] == 0
+        assert run(eval_argv(a, b, tmp_path / "both"), capsys)[0] == 0
+        for name in ("decisions.csv", "roc.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "both" / name).read_bytes()
+        assert not (tmp_path / "one" / "decisions_swap.csv").exists()
+
+
+def _drop(*keys):
+    def change(manifest):
+        target = manifest
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+    return change
+
+
+def _set(section, key, value):
+    def change(manifest):
+        (manifest[section] if section else manifest)[key] = value
+    return change
+
+
+class TestCorruptBundles:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            _drop("n_samples"),
+            _drop("channel_names"),
+            _set(None, "fs_hz", "fast"),
+            _set(None, "n_channels", None),
+            _set("meta", "targets", [[1]] * 6),
+            _set("meta", "paradigm", "qp300"),
+            _drop("meta", "pattern"),
+            _drop("meta", "isi_s"),
+        ],
+        ids=["no-n_samples", "no-channel_names", "text-fs_hz", "null-n_channels",
+             "one-number-targets", "unknown-paradigm", "no-pattern", "no-isi_s"],
+    )
+    def test_exits_3(self, session_pair, tmp_path, capsys, change):
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        edit_manifest(tmp_path / "b", change)
+        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        assert code == 3
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    def test_meta_n_is_provenance_only(self, session_pair, tmp_path, capsys):
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        edit_manifest(tmp_path / "b", _drop("meta", "n"))
+        a = session_pair / "a"
+        assert run(eval_argv(a, session_pair / "b", tmp_path / "intact"), capsys)[0] == 0
+        assert run(eval_argv(a, tmp_path / "b", tmp_path / "no_n"), capsys)[0] == 0
+        for name in ("metrics.csv", "summary.txt", "decisions.csv", "decisions_swap.csv"):
+            assert (tmp_path / "intact" / name).read_bytes() == (tmp_path / "no_n" / name).read_bytes()
+
+
+class TestNonFiniteSignal:
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_nan_sample_exits_4(self, session_pair, tmp_path, capsys, role):
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        channels = json.loads((tmp_path / "b" / "manifest.json").read_text())["channel_names"]
+        signal_path = tmp_path / "b" / "signal.f32"
+        samples = np.fromfile(signal_path, dtype="<f4").reshape(-1, len(channels))
+        samples[1000, 2] = np.nan
+        samples.tofile(signal_path)
+        pair = (tmp_path / "b", session_pair / "a")
+        train, test = pair if role == "train" else pair[::-1]
+        code, _, err = run(eval_argv(train, test, tmp_path / "e", swap=False), capsys)
+        assert code == 4
+        assert repr(channels[2]) in err and "non-finite" in err
 
 
 class TestReport:

@@ -8,6 +8,7 @@ from p300speller.pipeline import (
     evaluate,
     preprocess,
     schedule_from_bundle,
+    schedule_meta,
     train_models,
 )
 from p300speller.scheduler import make_cp300_schedule, make_xp300_schedule
@@ -92,17 +93,7 @@ class TestChain:
 class TestBundleRoundTrip:
     def test_schedule_from_bundle_decodes(self, tmp_path):
         (rec, sched), _ = make_pair("xp300", 5, reps=3)
-        meta = {
-            "paradigm": sched.paradigm,
-            "seed": sched.seed,
-            "n": sched.n,
-            "reps": sched.reps,
-            "isi_s": sched.isi_s,
-            "flash_duration_s": sched.flash_duration_s,
-            "targets": [list(t) for t in sched.targets],
-            "pattern": sched.pattern.to_json(),
-        }
-        write_session(rec, tmp_path / "s", meta=meta)
+        write_session(rec, tmp_path / "s", meta=schedule_meta(sched))
         again = read_session(tmp_path / "s")
         rebuilt = schedule_from_bundle(read_manifest(tmp_path / "s"), again.events)
         assert rebuilt.paradigm == sched.paradigm
@@ -115,13 +106,7 @@ class TestBundleRoundTrip:
         cfg = PipelineConfig()
         direct = evaluate(train, test, sched, cfg)
         write_session(train, tmp_path / "train")
-        write_session(test, tmp_path / "test", meta={
-            "paradigm": sched.paradigm, "seed": sched.seed, "n": sched.n,
-            "reps": sched.reps, "isi_s": sched.isi_s,
-            "flash_duration_s": sched.flash_duration_s,
-            "targets": [list(t) for t in sched.targets],
-            "pattern": sched.pattern.to_json(),
-        })
+        write_session(test, tmp_path / "test", meta=schedule_meta(sched))
         train_again = read_session(tmp_path / "train")
         test_again = read_session(tmp_path / "test")
         sched_again = schedule_from_bundle(read_manifest(tmp_path / "test"), test_again.events)

@@ -9,8 +9,10 @@ from p300speller.scheduler import (
     StimulusEvent,
     make_cp300_schedule,
     make_xp300_schedule,
+    slots_per_repetition,
     target_interval_stats,
 )
+from p300speller.session_io import events_jsonl
 
 ISI = 0.133
 
@@ -143,12 +145,18 @@ class TestDeterminism:
     def test_same_seed_identical_serialization(self, con6):
         a = make_xp300_schedule(con6, reps=5, isi_s=ISI, targets=[(1, 1), (3, 5)], seed=123)
         b = make_xp300_schedule(con6, reps=5, isi_s=ISI, targets=[(1, 1), (3, 5)], seed=123)
-        assert a.events_jsonl() == b.events_jsonl()
+        assert events_jsonl(a.events) == events_jsonl(b.events)
 
     def test_different_seed_differs(self, con6):
         a = make_xp300_schedule(con6, reps=5, isi_s=ISI, targets=[(1, 1)], seed=1)
         b = make_xp300_schedule(con6, reps=5, isi_s=ISI, targets=[(1, 1)], seed=2)
-        assert a.events_jsonl() != b.events_jsonl()
+        assert events_jsonl(a.events) != events_jsonl(b.events)
+
+    def test_slots_per_repetition(self):
+        assert slots_per_repetition("cp300", 6) == 12
+        assert slots_per_repetition("xp300", 6) == 14
+        with pytest.raises(ValidationError, match="paradigm"):
+            slots_per_repetition("qp300", 6)
 
     def test_event_json_roundtrip(self, con6):
         s = make_cp300_schedule(make_rc_pattern(6), reps=2, isi_s=ISI,
