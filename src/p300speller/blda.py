@@ -58,6 +58,10 @@ def fit_blda(features, labels, tol: float = 1e-6, max_iter: int = 200) -> BldaMo
     hyperparameters, so they satisfy the posterior-mean fixed point
     exactly.
     """
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=bool)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:

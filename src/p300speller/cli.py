@@ -13,9 +13,11 @@ deterministic given its config and seeds.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -41,15 +43,15 @@ class SynthConfig:
     """Synthetic-session knobs (all magnitudes are simulation defaults)."""
 
     fs_hz: float = 2000.0
-    background_sigma_uv: float = 1.0
-    ar_coeff: float = 0.95
-    alpha_amp_uv: float = 0.0
-    alpha_freq_hz: float = 10.0
+    background_sigma_uv: float = synth.NoiseModel.background_sigma_uv
+    ar_coeff: float = synth.NoiseModel.ar_coeff
+    alpha_amp_uv: float = synth.NoiseModel.alpha_amp_uv
+    alpha_freq_hz: float = synth.NoiseModel.alpha_freq_hz
     template_scale: float = 1.0
     blink_enabled: bool = True
-    blink_floor_s: float = 0.2
-    blink_ceiling_s: float = 0.5
-    blink_floor_gain: float = 0.3
+    blink_floor_s: float = synth.BlinkModel.tti_floor_s
+    blink_ceiling_s: float = synth.BlinkModel.tti_ceiling_s
+    blink_floor_gain: float = synth.BlinkModel.floor_gain
     onset_jitter_s: float = 0.0
     visual_response_scale: float = 0.0
 
@@ -83,33 +85,53 @@ class RunConfig:
             raise ValidationError("synth fs_hz must exceed twice the bandpass upper edge")
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file, rejecting unknown keys."""
+def load_config(args) -> RunConfig:
+    """Build a RunConfig from the optional JSON file ``args.config``, then
+    from every flag named after a RunConfig field (flags win)."""
     cfg = RunConfig()
-    if path is None:
-        return cfg
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
-    _apply_section(cfg, raw, {"synth": SynthConfig, "pipeline": PipelineConfig}, path)
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{args.config}: config must be a JSON object")
+        _apply_section(cfg, raw, args.config)
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cfg)}
+    _apply_section(cfg, {k: v for k, v in flags.items() if v is not None}, "command line")
     return cfg
 
 
-def _apply_section(obj, raw: dict, nested: dict, where: str) -> None:
-    known = {f.name for f in fields(obj)}
+JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
+
+
+def _apply_section(obj, raw: dict, where: str) -> None:
+    """Set the dataclass fields of ``obj`` from ``raw``, recursing into nested
+    dataclasses; each value must match its field's annotation, and none is
+    converted."""
+    types = get_type_hints(type(obj))
     for key, value in raw.items():
-        if key not in known:
+        if key not in types:
             raise ValidationError(f"{where}: unknown config key {key!r}")
-        if key in nested:
-            if not isinstance(value, dict):
-                raise ValidationError(f"{where}: {key!r} must be a JSON object")
-            _apply_section(getattr(obj, key), value, {}, f"{where}:{key}")
+        section = is_dataclass(types[key])
+        allowed = (dict,) if section else get_args(types[key]) or (types[key],)
+        if not _fits(value, allowed):
+            expected = " or ".join(JSON_TYPES.get(t, "null") for t in allowed)
+            raise ValidationError(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
+        if section:
+            _apply_section(getattr(obj, key), value, f"{where}:{key}")
         else:
             setattr(obj, key, value)
+
+
+def _fits(value, allowed: tuple) -> bool:
+    """An int may stand for a float, a bool only for a bool, NaN or ±inf for nothing."""
+    if isinstance(value, bool):
+        return bool in allowed
+    if isinstance(value, float):
+        return float in allowed and math.isfinite(value)
+    return isinstance(value, allowed) or (isinstance(value, int) and float in allowed)
 
 
 # ---------------------------------------------------------------- commands
@@ -130,8 +152,6 @@ def _build_pattern(kind: str, n: int, seed: int | None) -> patterns.FlashPattern
         return patterns.make_rc_pattern(n)
     if kind == "constrained" and n < 3:
         raise ValidationError(f"constrained construction needs n >= 3 (got {n})")
-    if n < 2:
-        raise ValidationError(f"grid dimension must be >= 2, got {n}")
     if seed is None:
         raise ValidationError(f"--seed is required for kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -145,17 +165,7 @@ def _build_pattern(kind: str, n: int, seed: int | None) -> patterns.FlashPattern
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    if args.paradigm:
-        cfg.paradigm = args.paradigm
-    if args.reps is not None:
-        cfg.reps = args.reps
-    if args.isi is not None:
-        cfg.isi_s = args.isi
-    if args.targets is not None:
-        cfg.target_text = args.targets
-    if args.pattern_kind is not None:
-        cfg.pattern_kind = args.pattern_kind
+    cfg = load_config(args)
     cfg.validate()
 
     # independent child seeds so pattern, schedule, and noise streams
@@ -213,7 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     rec = session_io.read_session(args.session)
     sf, clf = pipeline.train_models(rec, cfg.pipeline)
     out = Path(args.out)
@@ -232,7 +242,7 @@ def _model_bytes(model: SpatialFilterModel | BldaModel) -> bytes:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     train_rec = session_io.read_session(args.train_session)
     test_rec = session_io.read_session(args.test_session)
     # (session to fit on, session to score, bundle of the scored session)
@@ -244,6 +254,12 @@ def cmd_eval(args) -> int:
         sched = pipeline.schedule_from_bundle(session_io.read_manifest(score_path), score_rec.events)
         matrix = patterns.default_matrix(sched.n)
         runs.append((sched, pipeline.evaluate(fit_rec, score_rec, sched, cfg.pipeline, matrix)))
+    reps = [sched.reps for sched, _ in runs]
+    if len(set(reps)) > 1:
+        raise ValidationError(
+            f"--swap averages accuracy per repetition count, but the test session has "
+            f"{reps[0]} repetitions and the train session {reps[1]}"
+        )
     accuracy = np.mean([result.accuracy_by_k for _, result in runs], axis=0)
     auc = float(np.mean([result.auc for _, result in runs]))
 
@@ -359,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--isi", type=float, default=None)
-    p.add_argument("--targets", default=None, help="copy-spelling text")
+    p.add_argument("--isi", dest="isi_s", type=float, default=None)
+    p.add_argument("--targets", dest="target_text", default=None, help="copy-spelling text")
     p.add_argument(
         "--pattern-kind", choices=["rc", "permuted", "constrained"], default=None
     )

@@ -10,7 +10,7 @@ is accepted rather than compensated, matching what an online system
 would see.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import signal
@@ -99,6 +99,8 @@ def design_bandpass(
     """
     if not 0 < low_hz < high_hz:
         raise ValidationError("need 0 < low_hz < high_hz")
+    if order < 1:
+        raise ValidationError(f"filter order must be >= 1, got {order}")
     if high_hz >= fs_hz / 2:
         raise ValidationError(
             f"high band edge {high_hz} Hz is at or above Nyquist ({fs_hz / 2} Hz)"
@@ -123,13 +125,7 @@ def filter_recording(spec: FilterSpec, rec: Recording) -> Recording:
         raise ValidationError(
             f"filter designed for {spec.fs_hz} Hz, recording is {rec.fs_hz} Hz"
         )
-    filtered = signal.sosfilt(spec.sos, rec.samples, axis=0)
-    return Recording(
-        fs_hz=rec.fs_hz,
-        samples=filtered,
-        channel_names=rec.channel_names,
-        events=list(rec.events),
-    )
+    return replace(rec, samples=signal.sosfilt(spec.sos, rec.samples, axis=0))
 
 
 def decimate(rec: Recording, fs_out: float) -> Recording:
@@ -140,18 +136,14 @@ def decimate(rec: Recording, fs_out: float) -> Recording:
     seconds); their sample indices on the new clock come from
     nearest-sample rounding at use time.
     """
+    if not fs_out > 0:
+        raise ValidationError(f"output rate fs_out must be positive, got {fs_out}")
     factor = rec.fs_hz / fs_out
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise ValidationError(
             f"sampling rate {rec.fs_hz} Hz is not an integer multiple of {fs_out} Hz"
         )
-    factor = int(round(factor))
-    return Recording(
-        fs_hz=fs_out,
-        samples=rec.samples[::factor].copy(),
-        channel_names=rec.channel_names,
-        events=list(rec.events),
-    )
+    return replace(rec, fs_hz=fs_out, samples=rec.samples[:: int(round(factor))].copy())
 
 
 def extract_epochs(rec: Recording, window_s: float = 0.6) -> EpochSet:

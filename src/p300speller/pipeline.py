@@ -11,7 +11,7 @@ import numpy as np
 
 from . import blda, decoder, dsp, metrics, xdawn
 from .errors import BundleError, PipelineError
-from .patterns import FlashPattern, SpellerMatrix
+from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, SpellerMatrix
 from .scheduler import Schedule, StimulusEvent, slots_per_repetition
 
 
@@ -118,7 +118,7 @@ def schedule_from_bundle(manifest: dict, events: list[StimulusEvent]) -> Schedul
     try:
         pattern = FlashPattern.from_json(meta["pattern"])
         slots_per_repetition(meta["paradigm"], pattern.n)  # rejects an unknown paradigm
-        return Schedule(
+        schedule = Schedule(
             pattern=pattern,
             paradigm=meta["paradigm"],
             isi_s=float(meta["isi_s"]),
@@ -129,5 +129,18 @@ def schedule_from_bundle(manifest: dict, events: list[StimulusEvent]) -> Schedul
             seed=meta.get("seed"),
             inter_char_gap_s=float(meta.get("inter_char_gap_s", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not (schedule.reps >= 1 and schedule.isi_s > 0):
+            raise ValueError(f"reps {schedule.reps} < 1 or isi_s {schedule.isi_s} <= 0")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"session manifest lacks usable schedule metadata ({exc})") from exc
+    chars, reps, ids = range(len(schedule.targets)), range(schedule.reps), range(1, schedule.n + 1)
+    blocks = (ROW_BLOCK, COL_BLOCK)
+    for e in schedule.flash_events():
+        if not (e.char_index in chars and e.repetition in reps and e.flash_id in ids
+                and e.block in blocks):
+            raise BundleError(
+                f"flash event in slot {e.slot} (character {e.char_index}, repetition "
+                f"{e.repetition}, {e.block} {e.flash_id}) lies outside the schedule in meta: "
+                f"{len(chars)} characters, {len(reps)} repetitions, flashes 1..{len(ids)} per block"
+            )
+    return schedule

@@ -159,6 +159,10 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
         flash_duration_s = isi_s / 2.0
     if flash_duration_s > isi_s:
         raise ValidationError("flash duration cannot exceed the ISI")
+    if flash_duration_s <= 0:
+        raise ValidationError(f"flash duration must be positive, got {flash_duration_s}")
+    if gap_s < 0:
+        raise ValidationError(f"inter-character gap must be >= 0, got {gap_s}")
     targets = [(int(r), int(c)) for r, c in targets]
     if not targets:
         raise ValidationError("target list is empty: nothing to schedule")

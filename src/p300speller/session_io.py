@@ -73,6 +73,8 @@ def read_manifest(path) -> dict:
         raise BundleError(f"no {MANIFEST_NAME} in {path}") from None
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: invalid JSON at line {exc.lineno}") from exc
+    if not isinstance(manifest, dict):
+        raise BundleError(f"{path / MANIFEST_NAME}: not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise BundleError(
@@ -92,7 +94,7 @@ def read_session(path) -> Recording:
         channel_names = tuple(manifest["channel_names"])
         if not (n_samples > 0 and n_channels == len(channel_names) > 0 and 0 < fs_hz < np.inf):
             raise ValueError("needs samples, one name per channel and a finite rate > 0")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
 
     raw = (path / SIGNAL_NAME).read_bytes()
@@ -111,7 +113,7 @@ def read_session(path) -> Recording:
                 continue
             try:
                 events.append(StimulusEvent.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise BundleError(f"{path / EVENTS_NAME} line {lineno}: {exc}") from exc
 
     return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)

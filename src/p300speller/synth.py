@@ -132,6 +132,8 @@ def synthesize_session(
     """
     if not schedule.events:
         raise ValidationError("schedule has no events")
+    if not onset_jitter_s >= 0:
+        raise ValidationError(f"onset_jitter_s must be >= 0, got {onset_jitter_s}")
     if templates is None:
         templates = default_templates()
     if noise is None:

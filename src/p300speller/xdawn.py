@@ -16,7 +16,7 @@ of principal angles, so every rho lies in [0, 1].
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -67,10 +67,12 @@ def build_toeplitz(onsets, erp_len: int, total_samples: int) -> ToeplitzDesign:
     onsets = np.asarray(onsets, dtype=int)
     if onsets.size and (np.any(np.diff(onsets) <= 0)):
         raise ValidationError("onsets must be sorted and distinct")
-    if onsets.size and (onsets.min() < 0 or onsets.max() + erp_len > total_samples):
+    if onsets.size and onsets.min() < 0:
+        raise ValidationError(f"onset {int(onsets.min())} lies before the recording")
+    if onsets.size and onsets.max() + erp_len > total_samples:
         raise ValidationError(
-            f"onset {int(onsets.max())} too close to the end: needs {erp_len} samples "
-            f"of {total_samples}"
+            f"onset {int(onsets.max())} too close to the end: the ERP window of {erp_len} "
+            f"samples runs past the end of the recording ({total_samples} samples)"
         )
     d = np.zeros((total_samples, erp_len))
     for lag in range(erp_len):
@@ -85,6 +87,10 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     largest-magnitude coefficient positive (the objective is invariant to
     scale and sign, tests are not).
     """
+    if n_f < 1:
+        raise ValidationError(f"n_f must be >= 1, got {n_f}")
+    if erp_len < 1:
+        raise ValidationError(f"ERP window must span at least one sample, got erp_len={erp_len}")
     x = np.asarray(rec.samples, dtype=float)
     t_total, n_ch = x.shape
     if t_total <= erp_len or t_total <= n_ch:
@@ -134,9 +140,5 @@ def apply_spatial_filter(m: SpatialFilterModel, rec: Recording) -> Recording:
         raise ValidationError(
             f"filter expects {m.u.shape[0]} channels, recording has {rec.n_channels}"
         )
-    return Recording(
-        fs_hz=rec.fs_hz,
-        samples=rec.samples @ m.u,
-        channel_names=tuple(f"xDAWN-{k + 1}" for k in range(m.n_f)),
-        events=list(rec.events),
-    )
+    names = tuple(f"xDAWN-{k + 1}" for k in range(m.n_f))
+    return replace(rec, samples=rec.samples @ m.u, channel_names=names)

@@ -98,7 +98,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "config",
-        [{"n": 1}, {"reps": 0}, {"isi_s": 0}, {"target_text": ""}, {"pattern_kind": "foo"}],
+        [{"n": 1}, {"reps": 0}, {"isi_s": 0}, {"target_text": ""}, {"pattern_kind": "foo"},
+         {"synth": {"onset_jitter_s": -1}}, {"inter_char_gap_s": -1},
+         {"flash_duration_s": -0.05}, {"isi_s": float("nan")}, {"synth": {"fs_hz": float("inf")}}],
     )
     def test_out_of_range_config_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -121,6 +123,41 @@ class TestSimulate:
             main(argv)
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"reps": "10"}, "reps"), ({"reps": 2.0}, "reps"), ({"target_text": 5}, "target_text"),
+         ({"isi_s": "x"}, "isi_s"), ({"n": 2.5}, "n"), ({"paradigm": None}, "paradigm"),
+         ({"synth": {"fs_hz": "2000"}}, "fs_hz"),
+         ({"synth": {"blink_enabled": "no"}}, "blink_enabled"),
+         ({"pipeline": {"n_f": 2.0}}, "n_f"), ({"pipeline": {"n_f": True}}, "n_f"),
+         ({"pipeline": {"low_hz": "1"}}, "low_hz"), ({"synth": [1]}, "synth")],
+    )
+    def test_mistyped_config_exits_2(self, session_pair, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        commands = [["simulate", "--out", str(tmp_path / "s"), "--seed", "1"],
+                    ["train", "--session", str(session_pair / "a"), "--out", str(tmp_path / "m")]]
+        for argv in commands:
+            code, _, err = run(argv + ["--config", str(cfg)], capsys)
+            assert code == 2
+            assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp_path / "s").exists() and not (tmp_path / "m").exists()
+
+    def test_integer_for_float_echoed_unchanged(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"fs_hz": 250}, "isi_s": 0.15, "reps": 5}))
+        code, _, _ = run(
+            ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg),
+             "--reps", "2", "--targets", "AB"],
+            capsys,
+        )
+        assert code == 0
+        manifest = read_manifest(tmp_path / "s")
+        assert manifest["meta"]["config"]["synth"]["fs_hz"] == 250
+        assert json.dumps(manifest["fs_hz"]) == "250"
+        assert manifest["meta"]["reps"] == 2  # the flag overrides the file
+        assert manifest["meta"]["isi_s"] == 0.15
 
     def test_config_file_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -168,6 +205,25 @@ class TestTrain:
         clf = BldaModel.from_json(bl)
         assert sf.u.shape == (8, 4)
         assert clf.w.shape == (61,)  # 15 samples x 4 components + bias
+
+    @pytest.mark.parametrize(
+        "pipeline, message",
+        [({"fs_out_hz": 0}, "fs_out"), ({"filter_order": 0}, "order"), ({"n_f": -1}, "n_f"),
+         ({"n_f": 0}, "n_f"), ({"window_s": 0}, "ERP window"), ({"window_s": -1}, "ERP window"),
+         ({"window_s": 5}, "ERP window"), ({"blda_max_iter": 0}, "max_iter"),
+         ({"blda_tol": -1}, "tol")],
+    )
+    def test_out_of_range_pipeline_exits_2(self, session_pair, tmp_path, capsys, pipeline, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pipeline": pipeline}))
+        code, _, err = run(
+            ["train", "--session", str(session_pair / "a"), "--out", str(tmp_path / "m"),
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "m").exists()
 
     def test_missing_session_exits_3(self, tmp_path, capsys):
         code, _, _ = run(
@@ -222,6 +278,14 @@ class TestEval:
         # accuracy 1.0 at k=3, xp300: B(1) * 60 / (3 * 14 * 0.133)
         assert float(itr) == pytest.approx(5.169925 * 60 / (3 * 14 * 0.133), abs=1e-3)
 
+    def test_swap_with_unequal_reps_exits_2(self, session_pair, tmp_path, capsys):
+        argv = ["simulate", "--out", str(tmp_path / "five"), "--seed", "3", "--reps", "5"]
+        assert main(argv + ["--targets", "ABCDEF"]) == 0
+        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "five", tmp_path / "e"), capsys)
+        assert code == 2
+        assert "5 repetitions" in err and "session 3" in err
+        assert not (tmp_path / "e").exists()
+
     def test_deterministic_outputs(self, session_pair, tmp_path, capsys):
         outs = []
         for name in ("e1", "e2"):
@@ -248,8 +312,8 @@ def eval_argv(train, test, out, swap=True):
 def edit_manifest(bundle, change):
     path = bundle / "manifest.json"
     manifest = json.loads(path.read_text())
-    change(manifest)
-    path.write_text(json.dumps(manifest))
+    replaced = change(manifest)
+    path.write_text(json.dumps(manifest if replaced is None else replaced))
 
 
 class TestEvalSwapDecisions:
@@ -309,9 +373,13 @@ class TestCorruptBundles:
             _set("meta", "paradigm", "qp300"),
             _drop("meta", "pattern"),
             _drop("meta", "isi_s"),
+            lambda manifest: [],
+            _set("meta", "isi_s", 0),
+            _set("meta", "reps", 2),
         ],
         ids=["no-n_samples", "no-channel_names", "text-fs_hz", "null-n_channels",
-             "one-number-targets", "unknown-paradigm", "no-pattern", "no-isi_s"],
+             "one-number-targets", "unknown-paradigm", "no-pattern", "no-isi_s", "array",
+             "zero-isi_s", "fewer-reps-than-events"],
     )
     def test_exits_3(self, session_pair, tmp_path, capsys, change):
         shutil.copytree(session_pair / "b", tmp_path / "b")
