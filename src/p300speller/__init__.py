@@ -27,7 +27,7 @@ from .patterns import (
     pair_to_cell,
     validate_pattern,
 )
-from .pipeline import EvalResult, PipelineConfig, evaluate, train_models
+from .pipeline import EvalResult, PipelineConfig, evaluate, preprocess, train_models
 from .scheduler import (
     CP300,
     XP300,

@@ -193,6 +193,8 @@ def cmd_simulate(args) -> int:
         if s.blink_enabled
         else None
     )
+    if s.visual_response_scale < 0:
+        raise ValidationError(f"visual_response_scale must be >= 0, got {s.visual_response_scale}")
     visual = (
         synth.default_templates(s.visual_response_scale) if s.visual_response_scale > 0 else None
     )
@@ -225,7 +227,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     rec = session_io.read_session(args.session)
-    sf, clf = pipeline.train_models(rec, cfg.pipeline)
+    sf, clf = pipeline.train_models(pipeline.preprocess(rec, cfg.pipeline), cfg.pipeline)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write(out / "xdawn.json", _model_bytes(sf))
@@ -243,23 +245,26 @@ def _model_bytes(model: SpatialFilterModel | BldaModel) -> bytes:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
-    train_rec = session_io.read_session(args.train_session)
-    test_rec = session_io.read_session(args.test_session)
-    # (session to fit on, session to score, bundle of the scored session)
-    directions = [(train_rec, test_rec, args.test_session)]
-    if args.swap:
-        directions.append((test_rec, train_rec, args.train_session))
-    runs = []
-    for fit_rec, score_rec, score_path in directions:
-        sched = pipeline.schedule_from_bundle(session_io.read_manifest(score_path), score_rec.events)
-        matrix = patterns.default_matrix(sched.n)
-        runs.append((sched, pipeline.evaluate(fit_rec, score_rec, sched, cfg.pipeline, matrix)))
-    reps = [sched.reps for sched, _ in runs]
+    paths = (args.train_session, args.test_session)
+    recs = [session_io.read_session(path) for path in paths]
+    # (index of the session to fit on, index of the session to score)
+    directions = [(0, 1), (1, 0)] if args.swap else [(0, 1)]
+    scheds = [
+        pipeline.schedule_from_bundle(session_io.read_manifest(paths[i]), recs[i].events)
+        for _, i in directions
+    ]
+    reps = [sched.reps for sched in scheds]
     if len(set(reps)) > 1:
         raise ValidationError(
             f"--swap averages accuracy per repetition count, but the test session has "
             f"{reps[0]} repetitions and the train session {reps[1]}"
         )
+    lows = [pipeline.preprocess(rec, cfg.pipeline) for rec in recs]
+    runs = []
+    for (fit, scored), sched in zip(directions, scheds):
+        matrix = patterns.default_matrix(sched.n)
+        result = pipeline.evaluate(lows[fit], lows[scored], sched, cfg.pipeline, matrix)
+        runs.append((sched, result))
     accuracy = np.mean([result.accuracy_by_k for _, result in runs], axis=0)
     auc = float(np.mean([result.auc for _, result in runs]))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blda, decoder, dsp, metrics, xdawn
-from .errors import BundleError, PipelineError
+from .errors import BundleError, PipelineError, ValidationError
 from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, SpellerMatrix
 from .scheduler import Schedule, StimulusEvent, slots_per_repetition
 
@@ -44,8 +44,9 @@ class EvalResult:
 
 
 def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:
-    """Bandpass then decimate; a non-finite input sample shows up in every
-    later output sample of its channel (the filter is a causal IIR)."""
+    """Bandpass then decimate: the only step that reads the raw signal, run
+    once per recording.  A non-finite input sample shows up in every later
+    output sample of its channel (the filter is a causal IIR)."""
     spec = dsp.design_bandpass(rec.fs_hz, cfg.low_hz, cfg.high_hz, cfg.filter_order)
     low = dsp.decimate(dsp.filter_recording(spec, rec), cfg.fs_out_hz)
     finite = np.isfinite(low.samples).all(axis=0)
@@ -55,11 +56,20 @@ def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:
     return low
 
 
+def _require_low_rate(low: dsp.Recording, cfg: PipelineConfig) -> None:
+    """Models are fitted and applied only to preprocess output."""
+    if low.fs_hz != cfg.fs_out_hz:
+        raise ValidationError(
+            f"recording is at {low.fs_hz} Hz, but the models take the {cfg.fs_out_hz} Hz "
+            f"output of preprocess"
+        )
+
+
 def train_models(
-    rec: dsp.Recording, cfg: PipelineConfig
+    low: dsp.Recording, cfg: PipelineConfig
 ) -> tuple[xdawn.SpatialFilterModel, blda.BldaModel]:
-    """Fit the spatial filters and the classifier on one raw session."""
-    low = preprocess(rec, cfg)
+    """Fit the spatial filters and the classifier on one preprocessed session."""
+    _require_low_rate(low, cfg)
     sf = xdawn.fit_xdawn(low, erp_len=cfg.erp_len, n_f=cfg.n_f)
     epochs = dsp.extract_epochs(xdawn.apply_spatial_filter(sf, low), cfg.window_s)
     clf = blda.fit_blda(
@@ -69,27 +79,28 @@ def train_models(
 
 
 def score_session(
-    rec: dsp.Recording,
+    low: dsp.Recording,
     sf: xdawn.SpatialFilterModel,
     clf: blda.BldaModel,
     cfg: PipelineConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-flash-event classifier scores and is-target labels, in order."""
-    low = preprocess(rec, cfg)
+    """Per-flash-event classifier scores and is-target labels, in order, for
+    one preprocessed session."""
+    _require_low_rate(low, cfg)
     epochs = dsp.extract_epochs(xdawn.apply_spatial_filter(sf, low), cfg.window_s)
     return blda.score(clf, epochs.epochs), epochs.labels
 
 
 def evaluate(
-    train_rec: dsp.Recording,
-    test_rec: dsp.Recording,
+    train_low: dsp.Recording,
+    test_low: dsp.Recording,
     test_schedule: Schedule,
     cfg: PipelineConfig,
     matrix: SpellerMatrix | None = None,
 ) -> EvalResult:
-    """Train on one session, decode and score the other."""
-    sf, clf = train_models(train_rec, cfg)
-    scores, labels = score_session(test_rec, sf, clf, cfg)
+    """Train on one preprocessed session, decode and score the other."""
+    sf, clf = train_models(train_low, cfg)
+    scores, labels = score_session(test_low, sf, clf, cfg)
     decisions = decoder.decode_characters(test_schedule, scores, test_schedule.pattern, matrix)
     accuracy = decoder.accuracy_by_repetition(decisions, test_schedule.targets)
     curve = metrics.roc(scores, labels)

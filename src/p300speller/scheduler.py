@@ -57,6 +57,12 @@ class StimulusEvent:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StimulusEvent":
+        if not isinstance(obj["is_target"], bool):
+            raise ValueError(f"is_target must be true or false, got {obj['is_target']!r}")
+        if obj["block"] not in (ROW_BLOCK, COL_BLOCK, None):
+            raise ValueError(
+                f"block must be {ROW_BLOCK!r}, {COL_BLOCK!r} or null, got {obj['block']!r}"
+            )
         return cls(
             onset_s=float(obj["onset_s"]),
             kind=str(obj["kind"]),
@@ -65,7 +71,7 @@ class StimulusEvent:
             cells=frozenset((int(r), int(c)) for r, c in obj["cells"]),
             char_index=int(obj["char_index"]),
             repetition=int(obj["repetition"]),
-            is_target=bool(obj["is_target"]),
+            is_target=obj["is_target"],
             slot=int(obj["slot"]),
         )
 

@@ -51,6 +51,12 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 <= self.ar_coeff < 1:
             raise ValidationError("ar_coeff must lie in [0, 1) for stationarity")
+        if self.background_sigma_uv < 0:
+            raise ValidationError(
+                f"background_sigma_uv must be >= 0, got {self.background_sigma_uv}"
+            )
+        if self.alpha_amp_uv < 0:
+            raise ValidationError(f"alpha_amp_uv must be >= 0, got {self.alpha_amp_uv}")
 
 
 @dataclass

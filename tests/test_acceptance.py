@@ -25,7 +25,7 @@ from p300speller.patterns import (
     make_rc_pattern,
     validate_pattern,
 )
-from p300speller.pipeline import PipelineConfig, evaluate
+from p300speller.pipeline import PipelineConfig, evaluate, preprocess
 from p300speller.scheduler import (
     StimulusEvent,
     make_cp300_schedule,
@@ -251,7 +251,7 @@ def test_criterion_08_end_to_end_cohort():
     for subject in range(n_subjects):
         (train, _), (test, sched) = _cohort_pair("xp300", subject, reps=3,
                                                  text="CHANCE12", template_scale=0.0)
-        chance_aucs.append(evaluate(train, test, sched, cfg).auc)
+        chance_aucs.append(evaluate(preprocess(train, cfg), preprocess(test, cfg), sched, cfg).auc)
     chance = float(np.mean(chance_aucs))
     assert chance == pytest.approx(0.5, abs=0.05), chance
 
@@ -261,7 +261,7 @@ def test_criterion_08_end_to_end_cohort():
     for paradigm in ("cp300", "xp300"):
         for subject in range(n_subjects):
             (train, _), (test, sched) = _cohort_pair(paradigm, subject, reps=5, text=text)
-            result = evaluate(train, test, sched, cfg)
+            result = evaluate(preprocess(train, cfg), preprocess(test, cfg), sched, cfg)
             acc[paradigm].append(result.accuracy_by_k)
             auc[paradigm].append(result.auc)
     mean_acc = {k: np.mean(v, axis=0) for k, v in acc.items()}

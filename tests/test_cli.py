@@ -4,7 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
+from p300speller import pipeline
 from p300speller.cli import main
+from p300speller.metrics import itr_bpm
 from p300speller.session_io import read_manifest
 
 FAST_SIM = ["--reps", "3", "--targets", "ABCDEF"]
@@ -100,7 +102,9 @@ class TestSimulate:
         "config",
         [{"n": 1}, {"reps": 0}, {"isi_s": 0}, {"target_text": ""}, {"pattern_kind": "foo"},
          {"synth": {"onset_jitter_s": -1}}, {"inter_char_gap_s": -1},
-         {"flash_duration_s": -0.05}, {"isi_s": float("nan")}, {"synth": {"fs_hz": float("inf")}}],
+         {"flash_duration_s": -0.05}, {"isi_s": float("nan")}, {"synth": {"fs_hz": float("inf")}},
+         {"synth": {"background_sigma_uv": -1}}, {"synth": {"alpha_amp_uv": -1}},
+         {"synth": {"visual_response_scale": -1}}],
     )
     def test_out_of_range_config_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -316,16 +320,22 @@ def edit_manifest(bundle, change):
     path.write_text(json.dumps(manifest if replaced is None else replaced))
 
 
+@pytest.fixture(scope="module")
+def weak_pair(tmp_path_factory):
+    """A weak response, so accuracy varies with k and between directions."""
+    root = tmp_path_factory.mktemp("weak")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"template_scale": 0.12}}))
+    for name, seed in (("a", 1), ("b", 2)):
+        argv = ["simulate", "--out", str(root / name), "--seed", str(seed)]
+        assert main(argv + FAST_SIM + ["--config", str(cfg)]) == 0
+    return root
+
+
 class TestEvalSwapDecisions:
-    def test_decision_files_average_to_metrics(self, tmp_path, capsys):
-        # a weak response, so accuracy varies with k and between directions
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"synth": {"template_scale": 0.12}}))
-        for name, seed in (("a", 1), ("b", 2)):
-            argv = ["simulate", "--out", str(tmp_path / name), "--seed", str(seed)]
-            assert main(argv + FAST_SIM + ["--config", str(cfg)]) == 0
+    def test_decision_files_average_to_metrics(self, weak_pair, tmp_path, capsys):
         out = tmp_path / "eval"
-        code, _, _ = run(eval_argv(tmp_path / "a", tmp_path / "b", out), capsys)
+        code, _, _ = run(eval_argv(weak_pair / "a", weak_pair / "b", out), capsys)
         assert code == 0
         correct = {}
         for name in ("decisions.csv", "decisions_swap.csv"):
@@ -346,18 +356,72 @@ class TestEvalSwapDecisions:
         assert not (tmp_path / "one" / "decisions_swap.csv").exists()
 
 
+class TestPreprocessOnce:
+    def test_one_preprocess_per_bundle(self, weak_pair, tmp_path, capsys, monkeypatch):
+        calls = []
+        preprocess = pipeline.preprocess
+
+        def counting_preprocess(rec, cfg):
+            calls.append(rec.n_samples)
+            return preprocess(rec, cfg)
+
+        monkeypatch.setattr(pipeline, "preprocess", counting_preprocess)
+        a, b = weak_pair / "a", weak_pair / "b"
+        commands = [
+            (["train", "--session", str(a), "--out", str(tmp_path / "m")], 1),
+            (eval_argv(a, b, tmp_path / "ab", swap=False), 2),
+            (eval_argv(b, a, tmp_path / "ba", swap=False), 2),
+            (eval_argv(a, b, tmp_path / "swap"), 2),
+        ]
+        for argv, expected in commands:
+            calls.clear()
+            assert run(argv, capsys)[0] == 0
+            assert len(calls) == expected, argv
+
+        # the swap run matches the two directions evaluated one at a time
+        swap, ab, ba = tmp_path / "swap", tmp_path / "ab", tmp_path / "ba"
+        for name in ("decisions.csv", "roc.csv"):
+            assert (swap / name).read_bytes() == (ab / name).read_bytes()
+            assert (swap / name.replace(".", "_swap.")).read_bytes() == (ba / name).read_bytes()
+        rows = [
+            [line.split(",") for line in (d / "metrics.csv").read_text().splitlines()[1:]]
+            for d in (ab, ba)
+        ]
+        lines = ["k,accuracy,itr_bpm"]
+        for (k, acc_ab, _), (_, acc_ba, _) in zip(*rows):
+            acc = (float(acc_ab) + float(acc_ba)) / 2
+            itr = itr_bpm(acc, 36, "xp300", reps=int(k), isi_s=0.133, n=6)
+            lines.append(f"{k},{acc!r},{itr!r}")
+        assert len({line.split(",")[1] for line in lines[1:]}) > 1
+        assert (swap / "metrics.csv").read_text() == "\n".join(lines) + "\n"
+        auc_ab, auc_ba = (float((d / "summary.txt").read_text()[4:]) for d in (ab, ba))
+        assert (swap / "summary.txt").read_text() == f"auc={(auc_ab + auc_ba) / 2!r}\n"
+
+
 def _drop(*keys):
     def change(manifest):
         target = manifest
         for key in keys[:-1]:
             target = target[key]
         del target[keys[-1]]
-    return change
+    return lambda bundle: edit_manifest(bundle, change)
 
 
 def _set(section, key, value):
     def change(manifest):
         (manifest[section] if section else manifest)[key] = value
+    return lambda bundle: edit_manifest(bundle, change)
+
+
+def _set_events(kind, key, value, is_target=(True, False)):
+    """Set ``key`` on the events.jsonl lines of one kind (and target flag)."""
+    def change(bundle):
+        path = bundle / "events.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        for event in events:
+            if event["kind"] == kind and event["is_target"] in is_target:
+                event[key] = value
+        path.write_text("".join(json.dumps(event) + "\n" for event in events))
     return change
 
 
@@ -373,24 +437,26 @@ class TestCorruptBundles:
             _set("meta", "paradigm", "qp300"),
             _drop("meta", "pattern"),
             _drop("meta", "isi_s"),
-            lambda manifest: [],
+            lambda bundle: edit_manifest(bundle, lambda manifest: []),
             _set("meta", "isi_s", 0),
             _set("meta", "reps", 2),
+            _set_events("flash", "is_target", "false", is_target=(False,)),
+            _set_events("pause", "block", "diagonal"),
         ],
         ids=["no-n_samples", "no-channel_names", "text-fs_hz", "null-n_channels",
              "one-number-targets", "unknown-paradigm", "no-pattern", "no-isi_s", "array",
-             "zero-isi_s", "fewer-reps-than-events"],
+             "zero-isi_s", "fewer-reps-than-events", "text-is_target", "unknown-block"],
     )
     def test_exits_3(self, session_pair, tmp_path, capsys, change):
         shutil.copytree(session_pair / "b", tmp_path / "b")
-        edit_manifest(tmp_path / "b", change)
+        change(tmp_path / "b")
         code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
 
     def test_meta_n_is_provenance_only(self, session_pair, tmp_path, capsys):
         shutil.copytree(session_pair / "b", tmp_path / "b")
-        edit_manifest(tmp_path / "b", _drop("meta", "n"))
+        _drop("meta", "n")(tmp_path / "b")
         a = session_pair / "a"
         assert run(eval_argv(a, session_pair / "b", tmp_path / "intact"), capsys)[0] == 0
         assert run(eval_argv(a, tmp_path / "b", tmp_path / "no_n"), capsys)[0] == 0

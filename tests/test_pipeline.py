@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from p300speller.dsp import extract_epochs
+from p300speller.errors import ValidationError
 from p300speller.patterns import default_matrix, make_constrained_pattern, make_rc_pattern
 from p300speller.pipeline import (
     PipelineConfig,
@@ -9,6 +10,7 @@ from p300speller.pipeline import (
     preprocess,
     schedule_from_bundle,
     schedule_meta,
+    score_session,
     train_models,
 )
 from p300speller.scheduler import make_cp300_schedule, make_xp300_schedule
@@ -47,8 +49,8 @@ class TestChain:
     def test_epoch_feature_width_after_spatial_filter(self):
         (rec, sched), _ = make_pair("xp300", 2)
         cfg = PipelineConfig()
-        sf, _ = train_models(rec, cfg)
         low = preprocess(rec, cfg)
+        sf, _ = train_models(low, cfg)
         epochs = extract_epochs(apply_spatial_filter(sf, low), cfg.window_s)
         assert epochs.epochs.shape[1] == 15 * 4
         assert epochs.epochs.shape[0] == len(sched.flash_events())
@@ -60,7 +62,7 @@ class TestChain:
         cfg = PipelineConfig()
         low = preprocess(rec, cfg)
         raw_epochs = extract_epochs(low, cfg.window_s)
-        sf, _ = train_models(rec, cfg)
+        sf, _ = train_models(low, cfg)
         enhanced = extract_epochs(apply_spatial_filter(sf, low), cfg.window_s)
 
         def snr(epoch_set, channel):
@@ -75,19 +77,39 @@ class TestChain:
 
     def test_cross_session_high_snr(self):
         (train, _), (test, test_sched) = make_pair("xp300", 4, reps=5)
-        result = evaluate(train, test, test_sched, PipelineConfig(), default_matrix(6))
+        cfg = PipelineConfig()
+        result = evaluate(preprocess(train, cfg), preprocess(test, cfg), test_sched, cfg,
+                          default_matrix(6))
         assert result.auc >= 0.95
         assert result.accuracy_by_k[-1] >= 0.9
 
     def test_more_repetitions_do_not_hurt(self):
         # cohort-mean accuracy at the last k is at least the k=1 value
+        cfg = PipelineConfig()
         first, last = [], []
         for subject in range(4):
             (train, _), (test, sched) = make_pair("xp300", 10 + subject, reps=6)
-            result = evaluate(train, test, sched, PipelineConfig())
+            result = evaluate(preprocess(train, cfg), preprocess(test, cfg), sched, cfg)
             first.append(result.accuracy_by_k[0])
             last.append(result.accuracy_by_k[-1])
         assert np.mean(last) >= np.mean(first)
+
+
+    def test_models_reject_raw_rate(self):
+        # the models take preprocess output; a raw 2 kHz recording is refused
+        (train, _), (test, sched) = make_pair("xp300", 7, reps=2)
+        cfg = PipelineConfig()
+        low_train, low_test = preprocess(train, cfg), preprocess(test, cfg)
+        sf, clf = train_models(low_train, cfg)
+        rates = r"2000\.0 Hz.*25\.0 Hz"
+        with pytest.raises(ValidationError, match=rates):
+            train_models(train, cfg)
+        with pytest.raises(ValidationError, match=rates):
+            score_session(test, sf, clf, cfg)
+        with pytest.raises(ValidationError, match=rates):
+            evaluate(train, low_test, sched, cfg)
+        with pytest.raises(ValidationError, match=rates):
+            evaluate(low_train, test, sched, cfg)
 
 
 class TestBundleRoundTrip:
@@ -104,12 +126,14 @@ class TestBundleRoundTrip:
     def test_evaluation_identical_after_round_trip(self, tmp_path):
         (train, _), (test, sched) = make_pair("cp300", 6, reps=3)
         cfg = PipelineConfig()
-        direct = evaluate(train, test, sched, cfg)
+        direct = evaluate(preprocess(train, cfg), preprocess(test, cfg), sched, cfg)
         write_session(train, tmp_path / "train")
         write_session(test, tmp_path / "test", meta=schedule_meta(sched))
         train_again = read_session(tmp_path / "train")
         test_again = read_session(tmp_path / "test")
         sched_again = schedule_from_bundle(read_manifest(tmp_path / "test"), test_again.events)
-        again = evaluate(train_again, test_again, sched_again, cfg)
+        again = evaluate(
+            preprocess(train_again, cfg), preprocess(test_again, cfg), sched_again, cfg
+        )
         assert np.array_equal(again.accuracy_by_k, direct.accuracy_by_k)
         assert again.auc == direct.auc

@@ -3,7 +3,7 @@ import pytest
 
 from p300speller.dsp import DEFAULT_CHANNELS
 from p300speller.patterns import make_constrained_pattern
-from p300speller.pipeline import PipelineConfig, evaluate
+from p300speller.pipeline import PipelineConfig, evaluate, preprocess
 from p300speller.scheduler import make_xp300_schedule
 from p300speller.synth import (
     BlinkModel,
@@ -199,8 +199,9 @@ class TestChanceLevel:
         rec_a = synthesize_session(sched_a, templates=default_templates(0.0), seed=10)
         rec_b = synthesize_session(sched_b, templates=default_templates(0.0), seed=20)
         assert len(sched_b.flash_events()) >= 1000
-        result = evaluate(rec_a, rec_b, sched_b, cfg)
-        swapped = evaluate(rec_b, rec_a, sched_a, cfg)
+        low_a, low_b = preprocess(rec_a, cfg), preprocess(rec_b, cfg)
+        result = evaluate(low_a, low_b, sched_b, cfg)
+        swapped = evaluate(low_b, low_a, sched_a, cfg)
         total_epochs = len(sched_a.flash_events()) + len(sched_b.flash_events())
         assert total_epochs >= 2000
         mean_auc = (result.auc + swapped.auc) / 2
