@@ -31,14 +31,14 @@ from .pipeline import EvalResult, PipelineConfig, evaluate, preprocess, train_mo
 from .scheduler import (
     CP300,
     XP300,
+    Events,
     IntervalStats,
     Schedule,
-    StimulusEvent,
     make_cp300_schedule,
     make_xp300_schedule,
     target_interval_stats,
 )
-from .session_io import SessionBundle, read_manifest, read_session, write_session
+from .session_io import read_manifest, read_session, write_session
 from .synth import (
     BlinkModel,
     ErpTemplate,
@@ -48,7 +48,6 @@ from .synth import (
 )
 from .xdawn import (
     SpatialFilterModel,
-    ToeplitzDesign,
     apply_spatial_filter,
     build_toeplitz,
     fit_xdawn,

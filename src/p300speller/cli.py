@@ -167,6 +167,10 @@ def _build_pattern(kind: str, n: int, seed: int | None) -> patterns.FlashPattern
 def cmd_simulate(args) -> int:
     cfg = load_config(args)
     cfg.validate()
+    side = math.isqrt(len(patterns.ALPHANUM))
+    if cfg.n > side:
+        raise ValidationError(f"target_text is spelled on the {side}x{side} alphanumeric grid "
+                              f"(A-Z, 0-9), so simulate needs n <= {side}, got n={cfg.n}")
 
     # independent child seeds so pattern, schedule, and noise streams
     # do not alias each other

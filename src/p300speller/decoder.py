@@ -12,10 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PipelineError
-from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, SpellerMatrix, pair_to_cell
+from .patterns import SpellerMatrix, pair_to_cell
 from .scheduler import Schedule
-
-_BLOCK_INDEX = {ROW_BLOCK: 0, COL_BLOCK: 1}
 
 
 @dataclass
@@ -33,28 +31,25 @@ class CharDecision:
 
 
 def decode_characters(
-    schedule: Schedule,
-    scores,
-    pattern: FlashPattern,
-    matrix: SpellerMatrix | None = None,
+    schedule: Schedule, scores, matrix: SpellerMatrix | None = None
 ) -> list[CharDecision]:
     """Decode every character of a schedule from per-flash-event scores.
 
     ``scores`` must hold one value per flash event, in schedule order.
     """
-    flashes = schedule.flash_events()
+    flashes = schedule.events[schedule.events.is_flash]
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(flashes),):
         raise PipelineError(
             f"score/event count mismatch: {scores.shape[0] if scores.ndim else 0} scores "
             f"for {len(flashes)} flash events"
         )
-    n = pattern.n
+    pattern = schedule.pattern
     n_chars = len(schedule.targets)
     reps = schedule.reps
-    acc = np.zeros((n_chars, reps, 2, n))
-    for ev, s in zip(flashes, scores):
-        acc[ev.char_index, ev.repetition, _BLOCK_INDEX[ev.block], ev.flash_id - 1] += s
+    # each (character, repetition, block, flash) is flashed once, so it gets one score
+    acc = np.zeros((n_chars, reps, 2, pattern.n))
+    acc[flashes.char_index, flashes.repetition, flashes.block, flashes.flash_id - 1] = scores
     cumulative = np.cumsum(acc, axis=1)
 
     decisions = []
@@ -79,12 +74,8 @@ def accuracy_by_repetition(decisions: list[CharDecision], truth) -> np.ndarray:
         raise PipelineError(
             f"{len(decisions)} decisions but {len(truth)} ground-truth cells"
         )
-    reps = len(decisions[0].per_k)
-    hits = np.zeros(reps)
-    for decision, target in zip(decisions, truth):
-        for k in range(reps):
-            hits[k] += decision.per_k[k][0] == target
-    return hits / len(decisions)
+    hits = [[cell == target for cell, _ in d.per_k] for d, target in zip(decisions, truth)]
+    return np.mean(hits, axis=0)
 
 
 def decisions_csv(decisions: list[CharDecision], truth) -> str:

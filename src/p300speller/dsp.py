@@ -10,13 +10,13 @@ is accepted rather than compensated, matching what an online system
 would see.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import signal
 
 from .errors import PipelineError, ValidationError
-from .scheduler import FLASH, StimulusEvent
+from .scheduler import Events
 
 DEFAULT_CHANNELS = ("O1", "O2", "P3", "P4", "P7", "P8", "Pz", "FCz")
 
@@ -31,7 +31,7 @@ class Recording:
     fs_hz: float
     samples: np.ndarray
     channel_names: tuple[str, ...] = DEFAULT_CHANNELS
-    events: list[StimulusEvent] = field(default_factory=list)
+    events: Events | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -43,11 +43,11 @@ class Recording:
                 f"{len(self.channel_names)} channel names"
             )
         duration = self.samples.shape[0] / self.fs_hz
-        for e in self.events:
-            if not 0.0 <= e.onset_s <= duration:
-                raise ValidationError(
-                    f"event at {e.onset_s}s lies outside the recording (0..{duration:.3f}s)"
-                )
+        onsets = np.empty(0) if self.events is None else self.events.onset_s
+        outside = onsets[~((onsets >= 0.0) & (onsets <= duration))]
+        if outside.size:
+            raise ValidationError(f"event at {float(outside[0])}s lies outside the recording "
+                                  f"(0..{duration:.3f}s)")
 
     @property
     def n_samples(self) -> int:
@@ -57,13 +57,10 @@ class Recording:
     def n_channels(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.fs_hz
-
-    def sample_index(self, onset_s: float) -> int:
-        """Nearest sample index for a time in seconds."""
-        return int(round(onset_s * self.fs_hz))
+    def sample_index(self, onset_s):
+        """Nearest sample index for a time (or array of times) in seconds;
+        halves round to even, as ``round`` does."""
+        return np.rint(np.asarray(onset_s) * self.fs_hz).astype(int)
 
 
 @dataclass(frozen=True)
@@ -156,22 +153,21 @@ def extract_epochs(rec: Recording, window_s: float = 0.6) -> EpochSet:
     length = int(round(window_s * rec.fs_hz))
     if length < 1:
         raise ValidationError(f"window {window_s}s is shorter than one sample")
-    flashes = [e for e in rec.events if e.kind == FLASH]
-    rows = np.empty((len(flashes), length * rec.n_channels))
-    labels = np.empty(len(flashes), dtype=bool)
-    for i, ev in enumerate(flashes):
-        start = rec.sample_index(ev.onset_s)
-        if start < 0 or start + length > rec.n_samples:
-            raise PipelineError(
-                f"epoch truncated for flash at {ev.onset_s:.3f}s "
-                f"(char {ev.char_index}, rep {ev.repetition}): "
-                f"needs samples [{start}, {start + length}) of {rec.n_samples}"
-            )
-        rows[i] = rec.samples[start : start + length].T.ravel()
-        labels[i] = ev.is_target
+    flashes = rec.events[rec.events.is_flash]
+    start = rec.sample_index(flashes.onset_s)
+    truncated = (start < 0) | (start + length > rec.n_samples)
+    if truncated.any():
+        i = int(np.argmax(truncated))
+        raise PipelineError(
+            f"epoch truncated for flash at {flashes.onset_s[i]:.3f}s "
+            f"(char {flashes.char_index[i]}, rep {flashes.repetition[i]}): "
+            f"needs samples [{start[i]}, {start[i] + length}) of {rec.n_samples}"
+        )
+    windows = rec.samples[start[:, None] + np.arange(length)]  # E x L x C
+    rows = windows.transpose(0, 2, 1).reshape(len(flashes), length * rec.n_channels)
     return EpochSet(
-        epochs=rows,
-        labels=labels,
+        epochs=rows.astype(float, copy=False),
+        labels=flashes.is_target.copy(),
         window_s=window_s,
         n_samples=length,
         n_channels=rec.n_channels,

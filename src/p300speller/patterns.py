@@ -20,7 +20,7 @@ from .errors import ValidationError
 ROW_BLOCK = "row"
 COL_BLOCK = "col"
 
-_ALPHANUM = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+ALPHANUM = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def default_matrix(n: int = 6) -> SpellerMatrix:
     For n > 6 the alphanumeric pool runs out and numbered tokens are used.
     """
     count = n * n
-    if count <= len(_ALPHANUM):
-        flat = list(_ALPHANUM[:count])
+    if count <= len(ALPHANUM):
+        flat = list(ALPHANUM[:count])
     else:
         flat = [f"S{k:03d}" for k in range(count)]
     rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))

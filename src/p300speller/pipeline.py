@@ -11,8 +11,8 @@ import numpy as np
 
 from . import blda, decoder, dsp, metrics, xdawn
 from .errors import BundleError, PipelineError, ValidationError
-from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, SpellerMatrix
-from .scheduler import Schedule, StimulusEvent, slots_per_repetition
+from .patterns import SpellerMatrix
+from .scheduler import Events, Schedule, slots_per_repetition
 
 
 @dataclass
@@ -101,7 +101,7 @@ def evaluate(
     """Train on one preprocessed session, decode and score the other."""
     sf, clf = train_models(train_low, cfg)
     scores, labels = score_session(test_low, sf, clf, cfg)
-    decisions = decoder.decode_characters(test_schedule, scores, test_schedule.pattern, matrix)
+    decisions = decoder.decode_characters(test_schedule, scores, matrix)
     accuracy = decoder.accuracy_by_repetition(decisions, test_schedule.targets)
     curve = metrics.roc(scores, labels)
     return EvalResult(accuracy_by_k=accuracy, roc=curve, auc=curve.auc, decisions=decisions)
@@ -119,39 +119,41 @@ def schedule_meta(schedule: Schedule) -> dict:
         "inter_char_gap_s": schedule.inter_char_gap_s,
         "slots_per_repetition": schedule.slots_per_repetition,
         "targets": [list(t) for t in schedule.targets],
-        "pattern": schedule.pattern.to_json(),
     }
 
 
-def schedule_from_bundle(manifest: dict, events: list[StimulusEvent]) -> Schedule:
-    """Rebuild the Schedule a bundle was generated from (see schedule_meta)."""
+def schedule_from_bundle(manifest: dict, events: Events) -> Schedule:
+    """Rebuild the Schedule a bundle was generated from (see schedule_meta);
+    the pattern comes with the events, whose reader checked it."""
     meta = manifest.get("meta", {})
     try:
-        pattern = FlashPattern.from_json(meta["pattern"])
-        slots_per_repetition(meta["paradigm"], pattern.n)  # rejects an unknown paradigm
+        slots_per_repetition(meta["paradigm"], events.pattern.n)  # rejects an unknown paradigm
         schedule = Schedule(
-            pattern=pattern,
             paradigm=meta["paradigm"],
             isi_s=float(meta["isi_s"]),
             flash_duration_s=float(meta["flash_duration_s"]),
             reps=int(meta["reps"]),
             targets=[(int(r), int(c)) for r, c in meta["targets"]],
             events=events,
-            seed=meta.get("seed"),
             inter_char_gap_s=float(meta.get("inter_char_gap_s", 0.0)),
         )
         if not (schedule.reps >= 1 and schedule.isi_s > 0):
             raise ValueError(f"reps {schedule.reps} < 1 or isi_s {schedule.isi_s} <= 0")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"session manifest lacks usable schedule metadata ({exc})") from exc
-    chars, reps, ids = range(len(schedule.targets)), range(schedule.reps), range(1, schedule.n + 1)
-    blocks = (ROW_BLOCK, COL_BLOCK)
-    for e in schedule.flash_events():
-        if not (e.char_index in chars and e.repetition in reps and e.flash_id in ids
-                and e.block in blocks):
-            raise BundleError(
-                f"flash event in slot {e.slot} (character {e.char_index}, repetition "
-                f"{e.repetition}, {e.block} {e.flash_id}) lies outside the schedule in meta: "
-                f"{len(chars)} characters, {len(reps)} repetitions, flashes 1..{len(ids)} per block"
-            )
+    chars, reps = len(schedule.targets), schedule.reps
+    f = events[events.is_flash]
+    inside = (0 <= f.char_index) & (f.char_index < chars)
+    inside &= (0 <= f.repetition) & (f.repetition < reps)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise BundleError(
+            f"flash event in slot {f.slot[i]} (character {f.char_index[i]}, repetition "
+            f"{f.repetition[i]}) lies outside the schedule in meta: {chars} characters, "
+            f"{reps} repetitions"
+        )
+    index = np.ravel_multi_index((f.char_index, f.repetition, f.block, f.flash_id - 1),
+                                 (chars, reps, 2, schedule.n))
+    if np.unique(index).size < index.size:  # the decoder takes one score per flash
+        raise BundleError("two flash events share a character, repetition, block and flash id")
     return schedule

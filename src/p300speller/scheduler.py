@@ -12,68 +12,74 @@ Two paradigms are produced:
 
 Onsets are laid out on a global grid of ISI slots; every event records
 its integer slot so interval statistics stay exact multiples of the ISI.
+The events of a session form one ``Events`` table of numpy columns; which
+cells a flash lights is a fact of its ``FlashPattern``, kept only there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PipelineError, ValidationError
-from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, cells_for_flash, validate_pattern
+from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, validate_pattern
 
 CP300 = "cp300"
 XP300 = "xp300"
 
 FLASH = "flash"
 PAUSE = "pause"
+BLOCKS = (ROW_BLOCK, COL_BLOCK)  # indexed by the ``block`` column; -1 is a pause
+
+COLUMNS = {
+    "onset_s": np.float64,
+    "slot": np.int64,  # global ISI slot index
+    "char_index": np.int64,  # 0-based spelled-character counter
+    "repetition": np.int64,  # 0-based repetition counter
+    "block": np.int64,  # -1 pause, 0 row block, 1 column block
+    "flash_id": np.int64,  # 1..n within its block, 0 for a pause
+    "is_target": np.bool_,
+}
 
 
-@dataclass(frozen=True)
-class StimulusEvent:
-    """One scheduled flash or pause."""
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Every scheduled flash and pause of a session, one read-only column per
+    field, plus the pattern whose flashes ``block`` and ``flash_id`` name."""
 
-    onset_s: float
-    kind: str  # "flash" | "pause"
-    block: str | None  # "row" | "col" for flashes, None for pauses
-    flash_id: int | None
-    cells: frozenset  # of (row, col); empty for pauses
-    char_index: int  # 0-based spelled-character counter
-    repetition: int  # 0-based repetition counter
-    is_target: bool
-    slot: int  # global ISI slot index
+    pattern: FlashPattern
+    onset_s: np.ndarray
+    slot: np.ndarray
+    char_index: np.ndarray
+    repetition: np.ndarray
+    block: np.ndarray
+    flash_id: np.ndarray
+    is_target: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "onset_s": self.onset_s,
-            "kind": self.kind,
-            "block": self.block,
-            "flash_id": self.flash_id,
-            "cells": sorted([list(c) for c in self.cells]),
-            "char_index": self.char_index,
-            "repetition": self.repetition,
-            "is_target": self.is_target,
-            "slot": self.slot,
-        }
+    def __post_init__(self):
+        for name, dtype in COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if len({getattr(self, name).shape for name in COLUMNS}) != 1 or self.onset_s.ndim != 1:
+            raise ValidationError("event columns must be 1-D and of equal length")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "StimulusEvent":
-        if not isinstance(obj["is_target"], bool):
-            raise ValueError(f"is_target must be true or false, got {obj['is_target']!r}")
-        if obj["block"] not in (ROW_BLOCK, COL_BLOCK, None):
-            raise ValueError(
-                f"block must be {ROW_BLOCK!r}, {COL_BLOCK!r} or null, got {obj['block']!r}"
-            )
-        return cls(
-            onset_s=float(obj["onset_s"]),
-            kind=str(obj["kind"]),
-            block=obj["block"],
-            flash_id=None if obj["flash_id"] is None else int(obj["flash_id"]),
-            cells=frozenset((int(r), int(c)) for r, c in obj["cells"]),
-            char_index=int(obj["char_index"]),
-            repetition=int(obj["repetition"]),
-            is_target=obj["is_target"],
-            slot=int(obj["slot"]),
+    def __len__(self) -> int:
+        return self.onset_s.shape[0]
+
+    def __getitem__(self, index) -> "Events":
+        """The events at a slice, index array or boolean mask, in that order."""
+        return Events(self.pattern, *(getattr(self, name)[index] for name in COLUMNS))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Events)
+            and self.pattern.to_json() == other.pattern.to_json()
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in COLUMNS)
         )
+
+    @property
+    def is_flash(self) -> np.ndarray:
+        return self.block >= 0
 
 
 def slots_per_repetition(paradigm: str, n: int) -> int:
@@ -89,15 +95,17 @@ def slots_per_repetition(paradigm: str, n: int) -> int:
 class Schedule:
     """Time-ordered stimulus events for one copy-spelling session."""
 
-    pattern: FlashPattern
     paradigm: str
     isi_s: float
     flash_duration_s: float
     reps: int
     targets: list[tuple[int, int]]
-    events: list[StimulusEvent]
-    seed: int | None = None
+    events: Events
     inter_char_gap_s: float = 0.0
+
+    @property
+    def pattern(self) -> FlashPattern:
+        return self.events.pattern
 
     @property
     def n(self) -> int:
@@ -106,9 +114,6 @@ class Schedule:
     @property
     def slots_per_repetition(self) -> int:
         return slots_per_repetition(self.paradigm, self.n)
-
-    def flash_events(self) -> list[StimulusEvent]:
-        return [e for e in self.events if e.kind == FLASH]
 
 
 @dataclass(frozen=True)
@@ -176,53 +181,40 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
         if not (1 <= r <= p.n and 1 <= c <= p.n):
             raise ValidationError(f"target cell ({r}, {c}) outside the {p.n}x{p.n} grid")
 
-    flash_cells = {
-        (block, f): frozenset(cells_for_flash(p, block, f))
-        for block in (ROW_BLOCK, COL_BLOCK)
-        for f in range(1, p.n + 1)
-    }
     rng = np.random.default_rng(seed)
     n = p.n
-    events: list[StimulusEvent] = []
-    slot = 0
-    for char_index, target in enumerate(targets):
-        for rep in range(reps):
-            if paradigm == CP300:
-                order = [int(k) for k in rng.permutation(2 * n)]
-                plan = [
-                    (FLASH, ROW_BLOCK, k + 1) if k < n else (FLASH, COL_BLOCK, k - n + 1)
-                    for k in order
-                ]
-            else:
-                plan = [(FLASH, ROW_BLOCK, int(f) + 1) for f in rng.permutation(n)]
-                plan.append((PAUSE, None, None))
-                plan += [(FLASH, COL_BLOCK, int(f) + 1) for f in rng.permutation(n)]
-                plan.append((PAUSE, None, None))
-            for kind, block, fid in plan:
-                cells = flash_cells[(block, fid)] if kind == FLASH else frozenset()
-                events.append(
-                    StimulusEvent(
-                        onset_s=slot * isi_s + char_index * gap_s,
-                        kind=kind,
-                        block=block,
-                        flash_id=fid,
-                        cells=cells,
-                        char_index=char_index,
-                        repetition=rep,
-                        is_target=target in cells,
-                        slot=slot,
-                    )
-                )
-                slot += 1
-    return Schedule(
+    plans = len(targets) * reps  # one shuffled plan per repetition, in time order
+    if paradigm == CP300:
+        order = np.concatenate([rng.permutation(2 * n) for _ in range(plans)])
+        block, flash_id = order // n, order % n + 1
+    else:
+        flash_id = np.concatenate(
+            [np.r_[rng.permutation(n) + 1, 0, rng.permutation(n) + 1, 0] for _ in range(plans)]
+        )
+        block = np.tile(np.repeat([0, -1, 1, -1], [n, 1, n, 1]), plans)
+    slot = np.arange(block.size)
+    per_rep = slots_per_repetition(paradigm, n)
+    char_index = slot // (reps * per_rep)
+    # the row-block and column-block flash that light each character's target
+    rows, cols = np.array(targets).T - 1
+    target_flash = np.stack([p.r_hat[rows, cols], p.c_hat[rows, cols]], axis=1)
+    events = Events(
         pattern=p,
+        onset_s=slot * isi_s + char_index * gap_s,
+        slot=slot,
+        char_index=char_index,
+        repetition=slot // per_rep % reps,
+        block=block,
+        flash_id=flash_id,
+        is_target=(block >= 0) & (flash_id == target_flash[char_index, block.clip(0)]),
+    )
+    return Schedule(
         paradigm=paradigm,
         isi_s=isi_s,
         flash_duration_s=flash_duration_s,
         reps=reps,
         targets=targets,
         events=events,
-        seed=seed,
         inter_char_gap_s=gap_s,
     )
 
@@ -235,16 +227,12 @@ def target_interval_stats(s: Schedule, threshold_s: float = 0.0) -> IntervalStat
     across characters the raw onset difference is used so any configured
     inter-character gap is included.
     """
-    flashes = [e for e in s.events if e.kind == FLASH and e.is_target]
-    if len(flashes) < 2:
+    e = s.events
+    hits = e[e.is_flash & e.is_target]
+    if len(hits) < 2:
         raise PipelineError("need at least two target flashes to compute intervals")
-    ttis = []
-    for a, b in zip(flashes[:-1], flashes[1:]):
-        if a.char_index == b.char_index:
-            ttis.append((b.slot - a.slot) * s.isi_s)
-        else:
-            ttis.append(b.onset_s - a.onset_s)
-    ttis = np.asarray(ttis)
+    same_char = hits.char_index[1:] == hits.char_index[:-1]
+    ttis = np.where(same_char, np.diff(hits.slot) * s.isi_s, np.diff(hits.onset_s))
     return IntervalStats(
         min_tti_s=float(ttis.min()),
         mean_tti_s=float(ttis.mean()),

@@ -3,26 +3,28 @@
 A bundle is a directory of three files:
 
 * ``manifest.json`` -- format version, rate, geometry, channel names, and
-  a ``meta`` block (``pipeline.schedule_meta`` plus free-form provenance).
+  a ``meta`` block (``pipeline.schedule_meta``, the events' flash
+  ``pattern`` and free-form provenance).
 * ``signal.f32`` -- little-endian IEEE-754 float32, sample-major: all
   channels of sample 0, then sample 1, and so on.
-* ``events.jsonl`` -- one stimulus-event object per line, streamable.
+* ``events.jsonl`` -- one stimulus-event object per line, streamable; a
+  flash's ``cells`` are written from the pattern and checked against it.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
-identical inputs; reads verify the version and that the signal size
-matches the manifest.
+identical inputs; reads verify the version, that the signal size matches
+the manifest, and every event line.
 """
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import Recording
 from .errors import BundleError
-from .scheduler import StimulusEvent
+from .patterns import FlashPattern, cells_for_flash
+from .scheduler import BLOCKS, COLUMNS, FLASH, PAUSE, Events
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -30,39 +32,54 @@ SIGNAL_NAME = "signal.f32"
 EVENTS_NAME = "events.jsonl"
 
 
-@dataclass
-class SessionBundle:
-    path: Path
-    manifest: dict
-
-
-def write_session(rec: Recording, path, meta: dict | None = None) -> SessionBundle:
-    """Write a recording as a bundle directory; returns the bundle handle."""
+def write_session(rec: Recording, path, meta: dict | None = None) -> None:
+    """Write a recording as a bundle directory; ``meta`` gains the events' pattern."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    meta = dict(meta or {})
+    if rec.events is not None:
+        meta["pattern"] = rec.events.pattern.to_json()
     manifest = {
         "format_version": FORMAT_VERSION,
         "fs_hz": rec.fs_hz,
         "n_samples": rec.n_samples,
         "n_channels": rec.n_channels,
         "channel_names": list(rec.channel_names),
-        "meta": meta or {},
+        "meta": meta,
     }
     signal = np.ascontiguousarray(rec.samples, dtype="<f4")
     atomic_write(path / SIGNAL_NAME, signal.tobytes())
-    atomic_write(path / EVENTS_NAME, events_jsonl(rec.events).encode())
+    events = "" if rec.events is None else events_jsonl(rec.events)
+    atomic_write(path / EVENTS_NAME, events.encode())
     atomic_write(
         path / MANIFEST_NAME,
         (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
     )
-    return SessionBundle(path=path, manifest=manifest)
 
 
-def events_jsonl(events: list[StimulusEvent]) -> str:
+def events_jsonl(events: Events) -> str:
     """One compact, key-sorted JSON object per event and line."""
-    return "".join(
-        json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) + "\n" for e in events
-    )
+    cells = _cells_by_key(events.pattern)
+    lines = []
+    for onset, slot, char, rep, block, flash_id, target in zip(
+        *(getattr(events, name).tolist() for name in COLUMNS)
+    ):
+        kind, name, fid = (FLASH, BLOCKS[block], flash_id) if block >= 0 else (PAUSE, None, None)
+        obj = {"onset_s": onset, "kind": kind, "block": name, "flash_id": fid,
+               "cells": cells[kind, name, fid], "char_index": char, "repetition": rep,
+               "is_target": target, "slot": slot}
+        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def _cells_by_key(pattern: FlashPattern) -> dict:
+    """(kind, block, flash_id) of every flash of the pattern, and of a pause,
+    mapped to the sorted [row, col] cells it lights."""
+    cells = {(PAUSE, None, None): []}
+    for block in BLOCKS:
+        for f in range(1, pattern.n + 1):
+            cells[FLASH, block, f] = sorted([list(c) for c in cells_for_flash(pattern, block, f)])
+    return cells
 
 
 def read_manifest(path) -> dict:
@@ -96,6 +113,10 @@ def read_session(path) -> Recording:
             raise ValueError("needs samples, one name per channel and a finite rate > 0")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
+    try:
+        pattern = FlashPattern.from_json(manifest["meta"]["pattern"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BundleError(f"{path / MANIFEST_NAME}: no usable meta.pattern ({exc})") from exc
 
     raw = (path / SIGNAL_NAME).read_bytes()
     expected = n_samples * n_channels * 4
@@ -105,18 +126,41 @@ def read_session(path) -> Recording:
             f"({n_samples} samples x {n_channels} channels x 4)"
         )
     samples = np.frombuffer(raw, dtype="<f4").reshape(n_samples, n_channels)
+    events = _read_events(path / EVENTS_NAME, pattern)
+    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
 
-    events = []
-    with open(path / EVENTS_NAME) as fh:
+
+def _read_events(path: Path, pattern: FlashPattern) -> Events:
+    """Parse events.jsonl, checking each line's fields and its cells against the pattern."""
+    cells = _cells_by_key(pattern)
+    rows = []
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                events.append(StimulusEvent.from_json(json.loads(line)))
+                obj = json.loads(line)
+                key = (obj["kind"], obj["block"], obj["flash_id"])
+                if key not in cells:
+                    raise ValueError(f"kind, block and flash_id {list(key)} name neither a "
+                                     f"pause nor a flash of the pattern in meta")
+                if obj["cells"] != cells[key]:
+                    raise ValueError(f"cells {obj['cells']} differ from {cells[key]}, which "
+                                     f"the pattern in meta lights for {list(key)}")
+                if not isinstance(obj["is_target"], bool):
+                    raise ValueError(f"is_target must be true or false, got {obj['is_target']!r}")
+                block = BLOCKS.index(key[1]) if key[0] == FLASH else -1
+                rows.append((
+                    float(obj["onset_s"]), int(obj["slot"]), int(obj["char_index"]),
+                    int(obj["repetition"]), block, key[2] or 0, obj["is_target"],
+                ))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise BundleError(f"{path / EVENTS_NAME} line {lineno}: {exc}") from exc
-
-    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
+                raise BundleError(f"{path} line {lineno}: {exc}") from exc
+    columns = list(zip(*rows)) or [()] * len(COLUMNS)
+    try:
+        return Events(pattern, *columns)
+    except OverflowError as exc:
+        raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
 
 
 def atomic_write(target: Path, data: bytes) -> None:

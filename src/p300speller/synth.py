@@ -18,7 +18,7 @@ from scipy import signal
 
 from .dsp import DEFAULT_CHANNELS, Recording
 from .errors import ValidationError
-from .scheduler import FLASH, Schedule
+from .scheduler import Schedule
 
 
 @dataclass
@@ -152,9 +152,8 @@ def synthesize_session(
             )
 
     rng = np.random.default_rng(seed)
-    flashes = [e for e in schedule.events if e.kind == FLASH]
-    last_onset = max(e.onset_s for e in schedule.events)
-    n_samples = int(round((last_onset + tail_s) * fs_hz))
+    flashes = schedule.events[schedule.events.is_flash]
+    n_samples = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
     n_ch = len(channels)
 
     data = np.zeros((n_samples, n_ch))
@@ -169,19 +168,17 @@ def synthesize_session(
     # one jitter draw per flash regardless of settings keeps the RNG
     # stream independent of the blink/template configuration
     jitters = rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
+    starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
     kernels = [tpl.waveform(fs_hz) for tpl in templates]
     visual_kernels = [tpl.waveform(fs_hz) for tpl in (visual_templates or [])]
+    ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
+    gains = iter([1.0] + [blink.gain(tti) if blink is not None else 1.0 for tti in ttis])
 
-    prev_target_onset = None
-    for ev, jitter in zip(flashes, jitters):
-        start = int(round((ev.onset_s + jitter) * fs_hz))
-        if ev.is_target:
-            gain = 1.0
-            if blink is not None and prev_target_onset is not None:
-                gain = blink.gain(ev.onset_s - prev_target_onset)
+    for start, is_target in zip(starts.tolist(), flashes.is_target.tolist()):
+        if is_target:
+            gain = next(gains)
             for tpl, kernel in zip(templates, kernels):
                 _add_response(data, start, kernel * gain, tpl.topography)
-            prev_target_onset = ev.onset_s
         for tpl, kernel in zip(visual_templates or [], visual_kernels):
             _add_response(data, start, kernel, tpl.topography)
 
@@ -189,7 +186,7 @@ def synthesize_session(
         fs_hz=fs_hz,
         samples=data.astype(np.float32),
         channel_names=channels,
-        events=list(schedule.events),
+        events=schedule.events,
     )
 
 

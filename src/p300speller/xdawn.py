@@ -23,16 +23,6 @@ from scipy import linalg
 
 from .errors import PipelineError, ValidationError
 from .dsp import Recording
-from .scheduler import FLASH
-
-
-@dataclass
-class ToeplitzDesign:
-    """T x L 0/1 design: d[t, l] = 1 iff t = onset + l for some onset."""
-
-    d: np.ndarray
-    onsets: np.ndarray
-    erp_len: int
 
 
 @dataclass
@@ -62,8 +52,8 @@ class SpatialFilterModel:
         )
 
 
-def build_toeplitz(onsets, erp_len: int, total_samples: int) -> ToeplitzDesign:
-    """Design matrix with one 1 per (onset, waveform-sample) pair."""
+def build_toeplitz(onsets, erp_len: int, total_samples: int) -> np.ndarray:
+    """T x L 0/1 design: d[t, l] = 1 iff t = onset + l for some onset."""
     onsets = np.asarray(onsets, dtype=int)
     if onsets.size and (np.any(np.diff(onsets) <= 0)):
         raise ValidationError("onsets must be sorted and distinct")
@@ -75,9 +65,9 @@ def build_toeplitz(onsets, erp_len: int, total_samples: int) -> ToeplitzDesign:
             f"samples runs past the end of the recording ({total_samples} samples)"
         )
     d = np.zeros((total_samples, erp_len))
-    for lag in range(erp_len):
-        d[onsets + lag, lag] = 1.0
-    return ToeplitzDesign(d=d, onsets=onsets, erp_len=erp_len)
+    lags = np.arange(erp_len)
+    d[onsets[:, None] + lags, lags] = 1.0
+    return d
 
 
 def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterModel:
@@ -95,14 +85,13 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     t_total, n_ch = x.shape
     if t_total <= erp_len or t_total <= n_ch:
         raise ValidationError("recording too short for the ERP window / channel count")
-    onsets = sorted(
-        rec.sample_index(e.onset_s) for e in rec.events if e.kind == FLASH and e.is_target
-    )
+    events = rec.events
+    onsets = np.sort(rec.sample_index(events.onset_s[events.is_flash & events.is_target]))
     if len(onsets) < 2:
         raise PipelineError("need at least two target flashes to fit spatial filters")
 
-    design = build_toeplitz(onsets, erp_len, t_total)
-    qd = _orthonormal_basis(design.d)
+    # full column rank: sorted, distinct, in-range onsets make rows o0..o0+L-1 unit lower-triangular
+    qd, _ = np.linalg.qr(build_toeplitz(onsets, erp_len, t_total))
     qx, rx = np.linalg.qr(x)
     diag = np.abs(np.diag(rx))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
@@ -121,17 +110,6 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     flip = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(n_f)])
     u *= flip
     return SpatialFilterModel(u=u, n_f=n_f, rho=lam[:n_f] ** 2, erp_len=erp_len)
-
-
-def _orthonormal_basis(d: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of col(d); falls back to SVD if d is rank-deficient."""
-    q, r = np.linalg.qr(d)
-    diag = np.abs(np.diag(r))
-    if diag.min() > 1e-12 * max(diag.max(), 1.0):
-        return q
-    u, s, _ = np.linalg.svd(d, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    return u[:, :rank]
 
 
 def apply_spatial_filter(m: SpatialFilterModel, rec: Recording) -> Recording:

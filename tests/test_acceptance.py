@@ -27,7 +27,8 @@ from p300speller.patterns import (
 )
 from p300speller.pipeline import PipelineConfig, evaluate, preprocess
 from p300speller.scheduler import (
-    StimulusEvent,
+    BLOCKS,
+    Events,
     make_cp300_schedule,
     make_xp300_schedule,
     target_interval_stats,
@@ -95,9 +96,9 @@ def test_criterion_03_xp300_timing_model():
         min_tti = min(min_tti, stats.min_tti_s)
         below += stats.count_below
         by_rep = collections.defaultdict(dict)
-        for e in sched.flash_events():
-            if e.is_target:
-                by_rep[e.repetition][e.block] = e.onset_s
+        e = sched.events[sched.events.is_flash & sched.events.is_target]
+        for repetition, block, onset in zip(e.repetition, e.block, e.onset_s):
+            by_rep[repetition][BLOCKS[block]] = onset
         gaps.extend(v["col"] - v["row"] for v in by_rep.values())
     elapsed = time.perf_counter() - start
     assert total_reps >= 10_000
@@ -140,18 +141,16 @@ def test_criterion_05_xdawn_oracle_equivalence():
         onsets = np.sort(
             rng.choice(np.arange(0, t_total - erp_len), size=n_onsets, replace=False)
         )
-        events = [
-            StimulusEvent(onset_s=float(o / 25.0), kind="flash", block="row", flash_id=1,
-                          cells=frozenset(), char_index=0, repetition=0,
-                          is_target=True, slot=int(o))
-            for o in onsets
-        ]
+        zeros = np.zeros(n_onsets, dtype=int)
+        events = Events(make_rc_pattern(6), onset_s=onsets / 25.0, slot=onsets,
+                        char_index=zeros, repetition=zeros, block=zeros, flash_id=zeros + 1,
+                        is_target=zeros == 0)
         rec = Recording(fs_hz=25.0, samples=samples,
                         channel_names=tuple(f"ch{i}" for i in range(n_ch)), events=events)
         n_f = min(4, n_ch)
         model = fit_xdawn(rec, erp_len=erp_len, n_f=n_f)
 
-        d = build_toeplitz(onsets, erp_len, t_total).d
+        d = build_toeplitz(onsets, erp_len, t_total)
         q, _ = np.linalg.qr(d)
         vals, vecs = linalg.eigh(samples.T @ q @ q.T @ samples, samples.T @ samples)
         order = np.argsort(vals)[::-1]

@@ -104,7 +104,7 @@ class TestSimulate:
          {"synth": {"onset_jitter_s": -1}}, {"inter_char_gap_s": -1},
          {"flash_duration_s": -0.05}, {"isi_s": float("nan")}, {"synth": {"fs_hz": float("inf")}},
          {"synth": {"background_sigma_uv": -1}}, {"synth": {"alpha_amp_uv": -1}},
-         {"synth": {"visual_response_scale": -1}}],
+         {"synth": {"visual_response_scale": -1}}, {"n": 7}],
     )
     def test_out_of_range_config_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -115,6 +115,17 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error: ")
+        assert not (tmp_path / "s").exists()
+
+    def test_grid_above_6x6_names_the_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 12}))
+        code, _, err = run(
+            ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert "6x6 alphanumeric grid" in err and "n <= 6, got n=12" in err
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
@@ -413,44 +424,64 @@ def _set(section, key, value):
     return lambda bundle: edit_manifest(bundle, change)
 
 
-def _set_events(kind, key, value, is_target=(True, False)):
-    """Set ``key`` on the events.jsonl lines of one kind (and target flag)."""
+def _set_events(kind, key, value, is_target=(True, False), count=None):
+    """Set ``key`` on the first ``count`` (default: all) events.jsonl lines of
+    one kind (and target flag)."""
     def change(bundle):
         path = bundle / "events.jsonl"
         events = [json.loads(line) for line in path.read_text().splitlines()]
-        for event in events:
-            if event["kind"] == kind and event["is_target"] in is_target:
-                event[key] = value
+        chosen = [e for e in events if e["kind"] == kind and e["is_target"] in is_target]
+        for event in chosen[:count]:
+            event[key] = value
         path.write_text("".join(json.dumps(event) + "\n" for event in events))
     return change
 
 
+def _repeat_first_flash(bundle):
+    """The second event flashes what the first did (both are row flashes)."""
+    path = bundle / "events.jsonl"
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    for key in ("flash_id", "cells", "is_target"):
+        events[1][key] = events[0][key]
+    path.write_text("".join(json.dumps(event) + "\n" for event in events))
+
+
 class TestCorruptBundles:
     @pytest.mark.parametrize(
-        "change",
+        "change, command",
         [
-            _drop("n_samples"),
-            _drop("channel_names"),
-            _set(None, "fs_hz", "fast"),
-            _set(None, "n_channels", None),
-            _set("meta", "targets", [[1]] * 6),
-            _set("meta", "paradigm", "qp300"),
-            _drop("meta", "pattern"),
-            _drop("meta", "isi_s"),
-            lambda bundle: edit_manifest(bundle, lambda manifest: []),
-            _set("meta", "isi_s", 0),
-            _set("meta", "reps", 2),
-            _set_events("flash", "is_target", "false", is_target=(False,)),
-            _set_events("pause", "block", "diagonal"),
+            (_drop("n_samples"), "eval"),
+            (_drop("channel_names"), "eval"),
+            (_set(None, "fs_hz", "fast"), "eval"),
+            (_set(None, "n_channels", None), "eval"),
+            (_set("meta", "targets", [[1]] * 6), "eval"),
+            (_set("meta", "paradigm", "qp300"), "eval"),
+            (_drop("meta", "pattern"), "eval"),
+            (_drop("meta", "isi_s"), "eval"),
+            (lambda bundle: edit_manifest(bundle, lambda manifest: []), "eval"),
+            (_set("meta", "isi_s", 0), "eval"),
+            (_set("meta", "reps", 2), "eval"),
+            (_set_events("flash", "is_target", "false", is_target=(False,)), "eval"),
+            (_set_events("pause", "block", "diagonal"), "eval"),
+            (_set_events("pause", "block", "row", count=1), "eval"),
+            (_set_events("flash", "cells", [[1, 1]], is_target=(False,), count=1), "eval"),
+            (_drop("meta", "pattern"), "train"),
+            (_repeat_first_flash, "eval"),
         ],
         ids=["no-n_samples", "no-channel_names", "text-fs_hz", "null-n_channels",
              "one-number-targets", "unknown-paradigm", "no-pattern", "no-isi_s", "array",
-             "zero-isi_s", "fewer-reps-than-events", "text-is_target", "unknown-block"],
+             "zero-isi_s", "fewer-reps-than-events", "text-is_target", "unknown-block",
+             "pause-in-row-block", "cells-not-the-pattern", "train-no-pattern",
+             "repeated-flash"],
     )
-    def test_exits_3(self, session_pair, tmp_path, capsys, change):
+    def test_exits_3(self, session_pair, tmp_path, capsys, change, command):
         shutil.copytree(session_pair / "b", tmp_path / "b")
         change(tmp_path / "b")
-        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        if command == "train":
+            argv = ["train", "--session", str(tmp_path / "b"), "--out", str(tmp_path / "m")]
+        else:
+            argv = eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e")
+        code, _, err = run(argv, capsys)
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
 

@@ -10,24 +10,26 @@ from p300speller.dsp import (
     frequency_response,
 )
 from p300speller.errors import PipelineError, ValidationError
-from p300speller.scheduler import StimulusEvent
+from p300speller.patterns import make_rc_pattern
+from p300speller.scheduler import Events
 
 FS = 2000.0
 
 
 def flash(onset_s, is_target=False):
-    return StimulusEvent(
-        onset_s=onset_s, kind="flash", block="row", flash_id=1,
-        cells=frozenset({(1, 1)}), char_index=0, repetition=0,
-        is_target=is_target, slot=0,
-    )
+    return (onset_s, 0, 1, is_target)  # (onset, block, flash id, target): row flash 1
 
 
 def pause(onset_s):
-    return StimulusEvent(
-        onset_s=onset_s, kind="pause", block=None, flash_id=None,
-        cells=frozenset(), char_index=0, repetition=0, is_target=False, slot=0,
-    )
+    return (onset_s, -1, 0, False)
+
+
+def events(*rows):
+    """Event table of flash()/pause() rows, all in character 0, repetition 0, slot 0."""
+    onset_s, block, flash_id, is_target = zip(*rows)
+    zeros = [0] * len(rows)
+    return Events(make_rc_pattern(6), onset_s=onset_s, slot=zeros, char_index=zeros,
+                  repetition=zeros, block=block, flash_id=flash_id, is_target=is_target)
 
 
 class TestDesign:
@@ -98,9 +100,9 @@ class TestDecimate:
         assert decimate(rec, 25.0).n_samples == 100
 
     def test_event_lands_on_expected_output_sample(self):
-        rec = Recording(fs_hz=FS, samples=np.zeros((4000, 8)), events=[flash(1.0)])
+        rec = Recording(fs_hz=FS, samples=np.zeros((4000, 8)), events=events(flash(1.0)))
         out = decimate(rec, 25.0)
-        assert out.sample_index(out.events[0].onset_s) == 25
+        assert out.sample_index(out.events.onset_s[0]) == 25
 
     def test_takes_every_kth_sample(self):
         x = np.arange(800, dtype=float)[:, None]
@@ -135,21 +137,21 @@ class TestDecimate:
 
 class TestEpochs:
     def test_window_length_at_25hz(self):
-        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=[flash(0.5)])
+        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=events(flash(0.5)))
         es = extract_epochs(rec, 0.6)
         assert es.n_samples == 15
         assert es.epochs.shape == (1, 15 * 8)
 
     def test_feature_counts(self):
-        rec8 = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=[flash(0.0)])
+        rec8 = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=events(flash(0.0)))
         assert extract_epochs(rec8, 0.6).epochs.shape[1] == 120
         rec4 = Recording(fs_hz=25.0, samples=np.zeros((100, 4)),
-                         channel_names=("a", "b", "c", "d"), events=[flash(0.0)])
+                         channel_names=("a", "b", "c", "d"), events=events(flash(0.0)))
         assert extract_epochs(rec4, 0.6).epochs.shape[1] == 60
 
     def test_one_epoch_per_flash_pauses_skipped(self):
-        events = [flash(0.2), pause(0.4), flash(0.6, True), flash(1.0)]
-        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=events)
+        table = events(flash(0.2), pause(0.4), flash(0.6, True), flash(1.0))
+        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=table)
         es = extract_epochs(rec, 0.6)
         assert es.epochs.shape[0] == 3
         assert es.labels.tolist() == [False, True, False]
@@ -158,13 +160,26 @@ class TestEpochs:
         x = np.zeros((50, 2))
         x[:, 0] = np.arange(50)
         x[:, 1] = 1000 + np.arange(50)
-        rec = Recording(fs_hz=25.0, samples=x, channel_names=("a", "b"), events=[flash(0.4)])
+        rec = Recording(fs_hz=25.0, samples=x, channel_names=("a", "b"), events=events(flash(0.4)))
         row = extract_epochs(rec, 0.6).epochs[0]
         assert np.array_equal(row[:15], np.arange(10, 25))
         assert np.array_equal(row[15:], 1000 + np.arange(10, 25))
 
+    def test_rows_match_loop_reference(self):
+        # the per-flash slicing loop the fancy index replaced; 0.1 s is 2.5 samples
+        x = np.random.default_rng(3).standard_normal((200, 3)).astype(np.float32)
+        onsets = [0.0, 0.1, 1.02, 5.4, 2.5]
+        table = events(flash(0.0), flash(0.1), pause(0.3), flash(1.02, True), flash(5.4), flash(2.5))
+        rec = Recording(fs_hz=25.0, samples=x, channel_names=("a", "b", "c"), events=table)
+        expected = np.empty((5, 45))
+        for i, onset in enumerate(onsets):
+            start = int(round(onset * 25.0))
+            expected[i] = x[start : start + 15].T.ravel()
+        es = extract_epochs(rec, 0.6)
+        assert es.epochs.dtype == np.float64 and np.array_equal(es.epochs, expected)
+
     def test_truncated_epoch_identifies_event(self):
-        rec = Recording(fs_hz=25.0, samples=np.zeros((20, 8)), events=[flash(0.5)])
+        rec = Recording(fs_hz=25.0, samples=np.zeros((20, 8)), events=events(flash(0.5)))
         with pytest.raises(PipelineError, match=r"0\.500s"):
             extract_epochs(rec, 0.6)
 

@@ -53,7 +53,7 @@ class TestChain:
         sf, _ = train_models(low, cfg)
         epochs = extract_epochs(apply_spatial_filter(sf, low), cfg.window_s)
         assert epochs.epochs.shape[1] == 15 * 4
-        assert epochs.epochs.shape[0] == len(sched.flash_events())
+        assert epochs.epochs.shape[0] == sched.events.is_flash.sum()
 
     def test_component_one_beats_raw_channels(self):
         # the fitted component concentrates evoked energy better than any

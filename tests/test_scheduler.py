@@ -1,18 +1,20 @@
 import collections
+import json
 
 import numpy as np
 import pytest
 
+from p300speller.dsp import Recording
 from p300speller.errors import PipelineError, ValidationError
-from p300speller.patterns import make_constrained_pattern, make_rc_pattern
+from p300speller.patterns import cells_for_flash, make_constrained_pattern, make_rc_pattern
 from p300speller.scheduler import (
-    StimulusEvent,
+    BLOCKS,
     make_cp300_schedule,
     make_xp300_schedule,
     slots_per_repetition,
     target_interval_stats,
 )
-from p300speller.session_io import events_jsonl
+from p300speller.session_io import events_jsonl, read_session, write_session
 
 ISI = 0.133
 
@@ -30,28 +32,28 @@ def con6():
 class TestCp300:
     def test_event_count_10_reps(self, rc6):
         s = make_cp300_schedule(rc6, reps=10, isi_s=ISI, targets=[(1, 1)], seed=0)
-        assert len(s.flash_events()) == 120
+        assert s.events.is_flash.sum() == 120
         assert len(s.events) == 120  # no pauses
 
     def test_per_character_duration(self, rc6):
         # 5 reps x 12 slots x 0.133 s per character = 7.98 s
         s = make_cp300_schedule(rc6, reps=5, isi_s=ISI, targets=[(1, 1), (2, 2)], seed=0)
-        second_char = [e for e in s.events if e.char_index == 1]
-        assert second_char[0].onset_s == pytest.approx(60 * ISI)
+        second_char = s.events.onset_s[s.events.char_index == 1]
+        assert second_char[0] == pytest.approx(60 * ISI)
         assert s.slots_per_repetition == 12
 
     def test_target_flashed_twice_per_repetition(self, rc6):
         s = make_cp300_schedule(rc6, reps=8, isi_s=ISI, targets=[(3, 4)], seed=5)
-        per_rep = collections.Counter(
-            e.repetition for e in s.flash_events() if e.is_target
-        )
+        e = s.events
+        per_rep = collections.Counter(e.repetition[e.is_flash & e.is_target].tolist())
         assert all(per_rep[r] == 2 for r in range(8))
 
     def test_each_block_is_permutation(self, rc6):
         s = make_cp300_schedule(rc6, reps=6, isi_s=ISI, targets=[(1, 2), (5, 6)], seed=9)
         groups = collections.defaultdict(list)
-        for e in s.flash_events():
-            groups[(e.char_index, e.repetition, e.block)].append(e.flash_id)
+        e = s.events[s.events.is_flash]
+        for char, rep, block, flash_id in zip(e.char_index, e.repetition, e.block, e.flash_id):
+            groups[(char, rep, block)].append(flash_id)
         for (char, rep, block), ids in groups.items():
             assert sorted(ids) == [1, 2, 3, 4, 5, 6], (char, rep, block)
 
@@ -77,17 +79,17 @@ class TestCp300:
 class TestXp300:
     def test_slot_structure_one_rep(self, con6):
         s = make_xp300_schedule(con6, reps=1, isi_s=ISI, targets=[(1, 1)], seed=0)
-        kinds = [e.kind for e in s.events]
+        kinds = np.where(s.events.is_flash, "flash", "pause").tolist()
         assert kinds == ["flash"] * 6 + ["pause"] + ["flash"] * 6 + ["pause"]
-        blocks = [e.block for e in s.events if e.kind == "flash"]
+        blocks = [BLOCKS[b] for b in s.events.block[s.events.is_flash]]
         assert blocks == ["row"] * 6 + ["col"] * 6
         assert s.slots_per_repetition == 14
 
     def test_per_character_duration(self, con6):
         # 5 reps x 14 slots x 0.133 s = 9.31 s per character
         s = make_xp300_schedule(con6, reps=5, isi_s=ISI, targets=[(1, 1), (4, 4)], seed=1)
-        second_char = [e for e in s.events if e.char_index == 1]
-        assert second_char[0].onset_s == pytest.approx(70 * ISI)
+        second_char = s.events.onset_s[s.events.char_index == 1]
+        assert second_char[0] == pytest.approx(70 * ISI)
 
     def test_min_target_gap_two_isi(self, con6):
         for seed in range(50):
@@ -101,35 +103,38 @@ class TestXp300:
         # so E[gap] = 7 ISI = 0.931 s
         s = make_xp300_schedule(con6, reps=2000, isi_s=ISI, targets=[(3, 3)], seed=77)
         by_rep = collections.defaultdict(list)
-        for e in s.flash_events():
-            if e.is_target:
-                by_rep[(e.char_index, e.repetition)].append(e)
+        e = s.events[s.events.is_flash & s.events.is_target]
+        for char, rep, block, onset in zip(e.char_index, e.repetition, e.block, e.onset_s):
+            by_rep[(char, rep)].append((BLOCKS[block], onset))
         gaps = []
         for events in by_rep.values():
-            row, col = events
-            assert row.block == "row" and col.block == "col"
-            gaps.append(col.onset_s - row.onset_s)
+            (row_block, row_onset), (col_block, col_onset) = events
+            assert row_block == "row" and col_block == "col"
+            gaps.append(col_onset - row_onset)
         assert np.mean(gaps) == pytest.approx(7 * ISI, abs=0.01)
 
     def test_every_cell_flashed_twice_per_rep(self, con6):
         s = make_xp300_schedule(con6, reps=3, isi_s=ISI, targets=[(1, 1)], seed=3)
         counts = collections.Counter()
-        for e in s.flash_events():
-            for cell in e.cells:
-                counts[(e.repetition, cell)] += 1
+        e = s.events[s.events.is_flash]
+        for rep, block, flash_id in zip(e.repetition, e.block, e.flash_id):
+            for cell in cells_for_flash(s.pattern, BLOCKS[block], flash_id):
+                counts[(rep, cell)] += 1
         for rep in range(3):
             for i in range(1, 7):
                 for j in range(1, 7):
                     assert counts[(rep, (i, j))] == 2
 
     def test_flash_carries_six_cells_pause_none(self, con6):
+        # cells exist only in the written events, derived from the pattern
         s = make_xp300_schedule(con6, reps=1, isi_s=ISI, targets=[(1, 1)], seed=0)
-        for e in s.events:
-            assert len(e.cells) == (6 if e.kind == "flash" else 0)
+        for line in events_jsonl(s.events).splitlines():
+            e = json.loads(line)
+            assert len(e["cells"]) == (6 if e["kind"] == "flash" else 0)
 
     def test_onsets_strictly_increasing(self, con6):
         s = make_xp300_schedule(con6, reps=4, isi_s=ISI, targets=[(1, 1), (2, 2)], seed=8)
-        onsets = [e.onset_s for e in s.events]
+        onsets = s.events.onset_s.tolist()
         assert all(b > a for a, b in zip(onsets, onsets[1:]))
 
     def test_flash_duration_default_half_isi(self, con6):
@@ -158,20 +163,37 @@ class TestDeterminism:
         with pytest.raises(ValidationError, match="paradigm"):
             slots_per_repetition("qp300", 6)
 
-    def test_event_json_roundtrip(self, con6):
+    def test_event_json_roundtrip(self, con6, tmp_path):
         s = make_cp300_schedule(make_rc_pattern(6), reps=2, isi_s=ISI,
                                 targets=[(2, 3)], seed=4)
-        for e in s.events:
-            assert StimulusEvent.from_json(e.to_json()) == e
+        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8)), events=s.events)
+        write_session(rec, tmp_path / "s")
+        assert read_session(tmp_path / "s").events == s.events
 
 
 class TestIntervalStats:
     def test_insufficient_events(self, con6):
         s = make_xp300_schedule(con6, reps=1, isi_s=ISI, targets=[(1, 1)], seed=0)
-        only_row = [e for e in s.events if not (e.kind == "flash" and e.is_target and e.block == "col")]
+        e = s.events
+        only_row = e[~(e.is_flash & e.is_target & (e.block == 1))]
         s.events = only_row
         with pytest.raises(PipelineError, match="two target flashes"):
             target_interval_stats(s)
+
+    def test_matches_loop_reference(self, con6):
+        # the pairwise loop the vectorised gaps replaced
+        s = make_xp300_schedule(con6, reps=4, isi_s=ISI, targets=[(4, 2), (1, 6)], seed=6,
+                                inter_char_gap_s=0.5)
+        e = s.events[s.events.is_flash & s.events.is_target]
+        ttis = [
+            (e.slot[b] - e.slot[b - 1]) * ISI if e.char_index[b] == e.char_index[b - 1]
+            else e.onset_s[b] - e.onset_s[b - 1]
+            for b in range(1, len(e))
+        ]
+        stats = target_interval_stats(s, threshold_s=0.5)
+        assert stats.min_tti_s == min(ttis) and stats.max_tti_s == max(ttis)
+        assert stats.mean_tti_s == float(np.mean(ttis))
+        assert stats.count_below == sum(t < 0.5 for t in ttis)
 
     def test_ordering_invariant(self, con6):
         s = make_xp300_schedule(con6, reps=20, isi_s=ISI, targets=[(4, 2)], seed=6)

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from p300speller.cli import main
 from p300speller.dsp import Recording
 from p300speller.errors import BundleError
 from p300speller.patterns import make_constrained_pattern
@@ -20,10 +22,10 @@ def recording():
 
 class TestWrite:
     def test_signal_file_size(self, tmp_path, recording):
-        bundle = write_session(recording, tmp_path / "s")
+        write_session(recording, tmp_path / "s")
         size = (tmp_path / "s" / "signal.f32").stat().st_size
         assert size == recording.n_samples * recording.n_channels * 4
-        assert bundle.manifest["n_samples"] == recording.n_samples
+        assert read_manifest(tmp_path / "s")["n_samples"] == recording.n_samples
 
     def test_small_recording_exact_size(self, tmp_path):
         rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8), dtype=np.float32))
@@ -37,9 +39,12 @@ class TestWrite:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_meta_echo(self, tmp_path, recording):
-        write_session(recording, tmp_path / "s", meta={"paradigm": "xp300", "seed": 3})
+        meta = {"paradigm": "xp300", "seed": 3}
+        write_session(recording, tmp_path / "s", meta=meta)
         manifest = read_manifest(tmp_path / "s")
-        assert manifest["meta"] == {"paradigm": "xp300", "seed": 3}
+        pattern = recording.events.pattern.to_json()
+        assert manifest["meta"] == {"paradigm": "xp300", "seed": 3, "pattern": pattern}
+        assert meta == {"paradigm": "xp300", "seed": 3}  # the caller's dict is not changed
 
 
 class TestRoundTrip:
@@ -52,11 +57,12 @@ class TestRoundTrip:
         assert np.array_equal(again.samples, recording.samples)
         assert again.events == recording.events
 
-    def test_empty_events(self, tmp_path):
-        rec = Recording(fs_hz=25.0, samples=np.ones((10, 8), dtype=np.float32))
+    def test_empty_events(self, tmp_path, recording):
+        no_events = recording.events[:0]
+        rec = Recording(fs_hz=25.0, samples=np.ones((10, 8), dtype=np.float32), events=no_events)
         write_session(rec, tmp_path / "s")
         again = read_session(tmp_path / "s")
-        assert again.events == []
+        assert len(again.events) == 0 and again.events == no_events
 
 
 class TestReadErrors:
@@ -89,3 +95,26 @@ class TestReadErrors:
         (tmp_path / "empty").mkdir()
         with pytest.raises(BundleError, match="manifest"):
             read_session(tmp_path / "empty")
+
+
+class TestFormatPinned:
+    """The bundles of criterion 10's two ``simulate`` commands, byte for byte
+    as the format was written when each event still carried its cells."""
+
+    @pytest.mark.parametrize(
+        "argv, events_sha, manifest_sha",
+        [
+            (["--seed", "5"],
+             "1dfaae564c5ff8e2e6a7e7b6e3e2b89c698aff8f8443c258ea773cf0530d5851",
+             "e86dc9b2fc1830a7951327a4a74d77a6170c9bacd501aa13ae33db065662e47c"),
+            (["--paradigm", "cp300", "--seed", "6"],
+             "5c3d96f27641a657ed67e3307f0e58a0c7489032e23508fb3d1b118ce43ef2ca",
+             "9ff3dffe5e50da1e9bff88a11f1aa42bf6e7425d67522b02f9f3c86254ed3198"),
+        ],
+        ids=["xp300", "cp300"],
+    )
+    def test_sha256(self, tmp_path, argv, events_sha, manifest_sha):
+        out = tmp_path / "b"
+        assert main(["simulate", "--out", str(out)] + argv + ["--reps", "3", "--targets", "ABCDEF"]) == 0
+        for name, sha in (("events.jsonl", events_sha), ("manifest.json", manifest_sha)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name

@@ -65,10 +65,10 @@ class TestSynthesize:
         rec = synthesize_session(schedule, noise=quiet_noise(), blink=None, seed=0)
         kernels = [(t.waveform(rec.fs_hz), t.topography) for t in default_templates()]
         expected = np.zeros(rec.samples.shape)
-        for ev in schedule.flash_events():
-            if not ev.is_target:
+        for onset, is_target in zip(schedule.events.onset_s, schedule.events.is_target):
+            if not is_target:
                 continue
-            start = rec.sample_index(ev.onset_s)
+            start = rec.sample_index(onset)
             for kernel, topo in kernels:
                 expected[start : start + len(kernel)] += np.outer(kernel, topo)
         assert np.array_equal(rec.samples, expected.astype(np.float32))
@@ -78,9 +78,9 @@ class TestSynthesize:
         rec = synthesize_session(schedule, noise=quiet_noise(), blink=None, seed=0)
         mask = np.zeros(rec.n_samples, dtype=bool)
         span = max(len(t.waveform(rec.fs_hz)) for t in default_templates())
-        for ev in schedule.flash_events():
-            if ev.is_target:
-                idx = rec.sample_index(ev.onset_s)
+        for onset, is_target in zip(schedule.events.onset_s, schedule.events.is_target):
+            if is_target:
+                idx = rec.sample_index(onset)
                 mask[idx : idx + span] = True
         assert not rec.samples[~mask].any()
         assert rec.samples[mask].any()
@@ -89,13 +89,13 @@ class TestSynthesize:
         # two target flashes 0.266 s apart; expected gain 0.454 for the second
         pat = make_constrained_pattern(6)
         sched = make_xp300_schedule(pat, reps=1, isi_s=ISI, targets=[(1, 1)], seed=11)
-        targets = [e for e in sched.flash_events() if e.is_target]
-        gap = targets[1].onset_s - targets[0].onset_s
+        targets = sched.events.onset_s[sched.events.is_target]
+        gap = targets[1] - targets[0]
         blink = BlinkModel()
         rec_blink = synthesize_session(sched, noise=quiet_noise(), blink=blink, seed=0)
         rec_free = synthesize_session(sched, noise=quiet_noise(), blink=None, seed=0)
         fs = rec_blink.fs_hz
-        start = rec_blink.sample_index(targets[1].onset_s)
+        start = rec_blink.sample_index(targets[1])
         span = len(default_templates()[0].waveform(fs))
         ratio = (
             rec_blink.samples[start : start + span]
@@ -107,17 +107,12 @@ class TestSynthesize:
 
     def test_floor_gain_at_200ms_gap(self):
         # hand-built schedule: two target flashes exactly 0.2 s apart
-        from p300speller.scheduler import Schedule, StimulusEvent
+        from p300speller.scheduler import Events, Schedule
 
         pat = make_constrained_pattern(6)
-        cells = frozenset({(1, 1)})
-        events = [
-            StimulusEvent(onset_s=0.5, kind="flash", block="row", flash_id=1,
-                          cells=cells, char_index=0, repetition=0, is_target=True, slot=0),
-            StimulusEvent(onset_s=0.7, kind="flash", block="col", flash_id=1,
-                          cells=cells, char_index=0, repetition=0, is_target=True, slot=1),
-        ]
-        sched = Schedule(pattern=pat, paradigm="xp300", isi_s=0.2, flash_duration_s=0.1,
+        events = Events(pat, onset_s=[0.5, 0.7], slot=[0, 1], char_index=[0, 0],
+                        repetition=[0, 0], block=[0, 1], flash_id=[1, 1], is_target=[True, True])
+        sched = Schedule(paradigm="xp300", isi_s=0.2, flash_duration_s=0.1,
                          reps=1, targets=[(1, 1)], events=events)
         tpl = [ErpTemplate("P300", 0.3, 0.1, 10.0, np.ones(8))]
         rec = synthesize_session(sched, templates=tpl, noise=quiet_noise(),
@@ -148,7 +143,7 @@ class TestSynthesize:
 
     def test_events_keep_true_times_under_jitter(self, schedule):
         rec = synthesize_session(schedule, onset_jitter_s=0.004, seed=5)
-        assert [e.onset_s for e in rec.events] == [e.onset_s for e in schedule.events]
+        assert rec.events.onset_s.tolist() == schedule.events.onset_s.tolist()
 
     def test_output_dtype_and_channels(self, schedule):
         rec = synthesize_session(schedule, seed=1)
@@ -162,8 +157,9 @@ class TestSynthesize:
                                  visual_templates=bump, seed=0)
         kernel = bump[0].waveform(rec.fs_hz)
         expected = np.zeros(rec.samples.shape)
-        for ev in schedule.flash_events():  # every flash, target or not
-            start = rec.sample_index(ev.onset_s)
+        flashes = schedule.events[schedule.events.is_flash]
+        for onset in flashes.onset_s:  # every flash, target or not
+            start = rec.sample_index(onset)
             expected[start : start + len(kernel)] += np.outer(kernel, np.ones(8))
         assert np.array_equal(rec.samples, expected.astype(np.float32))
 
@@ -179,13 +175,13 @@ class TestSynthesize:
         for seed in range(10):
             sched = make_xp300_schedule(pat, reps=20, isi_s=ISI, targets=[(5, 2)], seed=seed)
             prev = None
-            for ev in sched.flash_events():
-                if not ev.is_target:
+            for onset, is_target in zip(sched.events.onset_s, sched.events.is_target):
+                if not is_target:
                     continue
                 if prev is not None:
                     # 1e-9 absorbs float jitter in onset differences
-                    assert blink.gain(ev.onset_s - prev) >= floor - 1e-9
-                prev = ev.onset_s
+                    assert blink.gain(onset - prev) >= floor - 1e-9
+                prev = onset
 
 
 class TestChanceLevel:
@@ -198,11 +194,11 @@ class TestChanceLevel:
         sched_b = make_xp300_schedule(pat, reps=10, isi_s=ISI, targets=targets, seed=2)
         rec_a = synthesize_session(sched_a, templates=default_templates(0.0), seed=10)
         rec_b = synthesize_session(sched_b, templates=default_templates(0.0), seed=20)
-        assert len(sched_b.flash_events()) >= 1000
+        assert sched_b.events.is_flash.sum() >= 1000
         low_a, low_b = preprocess(rec_a, cfg), preprocess(rec_b, cfg)
         result = evaluate(low_a, low_b, sched_b, cfg)
         swapped = evaluate(low_b, low_a, sched_a, cfg)
-        total_epochs = len(sched_a.flash_events()) + len(sched_b.flash_events())
+        total_epochs = sched_a.events.is_flash.sum() + sched_b.events.is_flash.sum()
         assert total_epochs >= 2000
         mean_auc = (result.auc + swapped.auc) / 2
         assert mean_auc == pytest.approx(0.5, abs=0.05)

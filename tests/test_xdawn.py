@@ -6,7 +6,8 @@ from scipy import linalg
 
 from p300speller.dsp import Recording
 from p300speller.errors import PipelineError, ValidationError
-from p300speller.scheduler import StimulusEvent
+from p300speller.patterns import make_rc_pattern
+from p300speller.scheduler import Events
 from p300speller.xdawn import (
     SpatialFilterModel,
     apply_spatial_filter,
@@ -17,11 +18,11 @@ from p300speller.xdawn import (
 FS = 25.0
 
 
-def target_flash(onset_s):
-    return StimulusEvent(
-        onset_s=onset_s, kind="flash", block="row", flash_id=1,
-        cells=frozenset(), char_index=0, repetition=0, is_target=True, slot=0,
-    )
+def target_flashes(onsets_s):
+    """Event table of target row flashes 1 at the given times."""
+    zeros = np.zeros(len(onsets_s), dtype=int)
+    return Events(make_rc_pattern(6), onset_s=onsets_s, slot=zeros, char_index=zeros,
+                  repetition=zeros, block=zeros, flash_id=zeros + 1, is_target=zeros == 0)
 
 
 def random_problem(seed, t=1200, c=8, n_onsets=40, erp_len=15):
@@ -29,13 +30,12 @@ def random_problem(seed, t=1200, c=8, n_onsets=40, erp_len=15):
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((t, c))
     onsets = np.sort(rng.choice(np.arange(0, t - erp_len), size=n_onsets, replace=False))
-    events = [target_flash(o / FS) for o in onsets]
-    return Recording(fs_hz=FS, samples=samples, events=events), onsets
+    return Recording(fs_hz=FS, samples=samples, events=target_flashes(onsets / FS)), onsets
 
 
 def oracle_filters(samples, onsets, erp_len, n_f):
     """Dense generalized-eigenvector solution of the same Rayleigh quotient."""
-    d = build_toeplitz(onsets, erp_len, samples.shape[0]).d
+    d = build_toeplitz(onsets, erp_len, samples.shape[0])
     q, _ = np.linalg.qr(d)
     a = samples.T @ q @ q.T @ samples
     b = samples.T @ samples
@@ -51,17 +51,17 @@ class TestToeplitz:
         for onset in (1, 5):
             for lag in range(3):
                 expected[onset + lag, lag] = 1
-        assert np.array_equal(design.d, expected)
+        assert np.array_equal(design, expected)
 
     def test_no_onsets_all_zero(self):
         design = build_toeplitz([], erp_len=4, total_samples=10)
-        assert design.d.shape == (10, 4)
-        assert not design.d.any()
+        assert design.shape == (10, 4)
+        assert not design.any()
 
     def test_overlapping_onsets(self):
         design = build_toeplitz([0, 1], erp_len=3, total_samples=6)
-        assert design.d.sum(axis=0).tolist() == [2, 2, 2]
-        assert design.d[1].sum() == 2 and design.d[2].sum() == 2
+        assert design.sum(axis=0).tolist() == [2, 2, 2]
+        assert design[1].sum() == 2 and design[2].sum() == 2
 
     def test_out_of_range_onset(self):
         with pytest.raises(ValidationError, match="too close"):
@@ -70,6 +70,17 @@ class TestToeplitz:
     def test_unsorted_rejected(self):
         with pytest.raises(ValidationError, match="sorted"):
             build_toeplitz([5, 1], erp_len=2, total_samples=10)
+
+    @pytest.mark.parametrize(
+        "onsets", [list(range(0, 26)), [25], [0, 25]], ids=["adjacent", "last", "first-last"]
+    )
+    def test_full_column_rank(self, onsets):
+        # fit_xdawn takes the QR basis of the design without a rank fallback:
+        # any admitted onsets (sorted, distinct, in range) give full column rank,
+        # down to adjacent onsets and an onset at T - L
+        design = build_toeplitz(onsets, erp_len=15, total_samples=40)
+        diag = np.abs(np.diag(np.linalg.qr(design)[1]))
+        assert diag.min() >= 1e-12 * diag.max()
 
 
 class TestFit:
@@ -98,12 +109,11 @@ class TestFit:
         onsets = np.arange(20, t - erp_len, 40)
         waveform = np.hanning(erp_len)
         mixing = rng.standard_normal(c)
-        d = build_toeplitz(onsets, erp_len, t).d
+        d = build_toeplitz(onsets, erp_len, t)
         evoked = np.outer(d @ waveform, mixing)
         noise_mix = rng.standard_normal((c, c)) * 0.1
         samples = evoked + rng.standard_normal((t, c)) @ noise_mix
-        events = [target_flash(o / FS) for o in onsets]
-        rec = Recording(fs_hz=FS, samples=samples, events=events)
+        rec = Recording(fs_hz=FS, samples=samples, events=target_flashes(onsets / FS))
         model = fit_xdawn(rec, erp_len=erp_len, n_f=4)
         enhanced = samples @ model.u[:, 0]
         reference = d @ waveform
