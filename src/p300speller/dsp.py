@@ -7,7 +7,11 @@ doubles as the anti-alias filter), and fixed 0.6 s post-stimulus epochs.
 
 Filtering is forward-only with zero initial conditions; the group delay
 is accepted rather than compensated, matching what an online system
-would see.
+would see.  ``filter_recording`` bandpasses and decimates in one pass
+over blocks of rows, carrying the filter state from block to block and
+keeping each block's every q-th sample as soon as it is filtered, so the
+full-rate filtered signal is never held; the output has the same bytes
+as filtering the whole recording at once and then subsampling it.
 """
 
 from dataclasses import dataclass, replace
@@ -19,6 +23,7 @@ from .errors import PipelineError, ValidationError
 from .scheduler import Events
 
 DEFAULT_CHANNELS = ("O1", "O2", "P3", "P4", "P7", "P8", "Pz", "FCz")
+FILTER_BLOCK_VALUES = 2**18  # samples x channels filtered per block by filter_recording
 
 
 @dataclass
@@ -116,13 +121,39 @@ def frequency_response(spec: FilterSpec, freqs_hz) -> np.ndarray:
     return h
 
 
-def filter_recording(spec: FilterSpec, rec: Recording) -> Recording:
-    """Causal forward filtering, channel by channel, zero initial state."""
+def filter_recording(spec: FilterSpec, rec: Recording, fs_out: float) -> Recording:
+    """Causal forward filtering from a zero state, then every q-th sample
+    from index 0, q = rec.fs_hz / fs_out (see ``decimate``).
+
+    Filters blocks of about ``FILTER_BLOCK_VALUES`` values, each a multiple
+    of q rows so that it starts on a kept sample, and carries the filter
+    state across blocks: the result has the same bytes as one pass over the
+    whole recording followed by ``decimate``.
+    """
     if spec.fs_hz != rec.fs_hz:
         raise ValidationError(
             f"filter designed for {spec.fs_hz} Hz, recording is {rec.fs_hz} Hz"
         )
-    return replace(rec, samples=signal.sosfilt(spec.sos, rec.samples, axis=0))
+    q = _decimation_factor(rec.fs_hz, fs_out)
+    step = max(1, FILTER_BLOCK_VALUES // rec.n_channels // q) * q
+    state = np.zeros((len(spec.sos), 2, rec.n_channels))
+    kept = []
+    for start in range(0, rec.n_samples, step):
+        y, state = signal.sosfilt(spec.sos, rec.samples[start : start + step], axis=0, zi=state)
+        kept.append(y[::q].copy())  # a strided view would pin the whole block
+    return replace(rec, fs_hz=fs_out, samples=np.concatenate(kept))
+
+
+def _decimation_factor(fs_in: float, fs_out: float) -> int:
+    """The integer q = fs_in / fs_out; anything else is a ValidationError."""
+    if not fs_out > 0:
+        raise ValidationError(f"output rate fs_out must be positive, got {fs_out}")
+    factor = fs_in / fs_out
+    if abs(factor - round(factor)) > 1e-9 or factor < 1:
+        raise ValidationError(
+            f"sampling rate {fs_in} Hz is not an integer multiple of {fs_out} Hz"
+        )
+    return int(round(factor))
 
 
 def decimate(rec: Recording, fs_out: float) -> Recording:
@@ -133,14 +164,8 @@ def decimate(rec: Recording, fs_out: float) -> Recording:
     seconds); their sample indices on the new clock come from
     nearest-sample rounding at use time.
     """
-    if not fs_out > 0:
-        raise ValidationError(f"output rate fs_out must be positive, got {fs_out}")
-    factor = rec.fs_hz / fs_out
-    if abs(factor - round(factor)) > 1e-9 or factor < 1:
-        raise ValidationError(
-            f"sampling rate {rec.fs_hz} Hz is not an integer multiple of {fs_out} Hz"
-        )
-    return replace(rec, fs_hz=fs_out, samples=rec.samples[:: int(round(factor))].copy())
+    q = _decimation_factor(rec.fs_hz, fs_out)
+    return replace(rec, fs_hz=fs_out, samples=rec.samples[::q].copy())
 
 
 def extract_epochs(rec: Recording, window_s: float = 0.6) -> EpochSet:

@@ -48,7 +48,7 @@ def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:
     once per recording.  A non-finite input sample shows up in every later
     output sample of its channel (the filter is a causal IIR)."""
     spec = dsp.design_bandpass(rec.fs_hz, cfg.low_hz, cfg.high_hz, cfg.filter_order)
-    low = dsp.decimate(dsp.filter_recording(spec, rec), cfg.fs_out_hz)
+    low = dsp.filter_recording(spec, rec, cfg.fs_out_hz)
     finite = np.isfinite(low.samples).all(axis=0)
     if not finite.all():
         name = low.channel_names[int(np.argmin(finite))]

@@ -30,6 +30,11 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 SIGNAL_NAME = "signal.f32"
 EVENTS_NAME = "events.jsonl"
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the JSON types each number field of events.jsonl takes; a dict lookup or
+# int() would also take true for 1, 2.0 for 2 and "17" for 17
+_NUMBER_TYPES = {"onset_s": {int, float}, "slot": {int}, "char_index": {int},
+                 "repetition": {int}, "flash_id": {int}}
 
 
 def write_session(rec: Recording, path, meta: dict | None = None) -> None:
@@ -68,7 +73,7 @@ def events_jsonl(events: Events) -> str:
         obj = {"onset_s": onset, "kind": kind, "block": name, "flash_id": fid,
                "cells": cells[kind, name, fid], "char_index": char, "repetition": rep,
                "is_target": target, "slot": slot}
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        lines.append(_EVENT_ENCODER.encode(obj) + "\n")
     return "".join(lines)
 
 
@@ -133,7 +138,7 @@ def read_session(path) -> Recording:
 def _read_events(path: Path, pattern: FlashPattern) -> Events:
     """Parse events.jsonl, checking each line's fields and its cells against the pattern."""
     cells = _cells_by_key(pattern)
-    rows = []
+    rows, linenos = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -151,14 +156,21 @@ def _read_events(path: Path, pattern: FlashPattern) -> Events:
                     raise ValueError(f"is_target must be true or false, got {obj['is_target']!r}")
                 block = BLOCKS.index(key[1]) if key[0] == FLASH else -1
                 rows.append((
-                    float(obj["onset_s"]), int(obj["slot"]), int(obj["char_index"]),
-                    int(obj["repetition"]), block, key[2] or 0, obj["is_target"],
+                    obj["onset_s"], obj["slot"], obj["char_index"], obj["repetition"],
+                    block, key[2] or 0, obj["is_target"],
                 ))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                linenos.append(lineno)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise BundleError(f"{path} line {lineno}: {exc}") from exc
-    columns = list(zip(*rows)) or [()] * len(COLUMNS)
+    columns = dict(zip(COLUMNS, zip(*rows))) if rows else dict.fromkeys(COLUMNS, ())
+    for name, types in _NUMBER_TYPES.items():
+        if not set(map(type, columns[name])) <= types:  # one pass per column, not per line
+            i = next(i for i, value in enumerate(columns[name]) if type(value) not in types)
+            kind = "number" if float in types else "integer"
+            raise BundleError(f"{path} line {linenos[i]}: {name} must be a JSON {kind}, "
+                              f"got {columns[name][i]!r}")
     try:
-        return Events(pattern, *columns)
+        return Events(pattern, **columns)
     except OverflowError as exc:
         raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
 

@@ -446,6 +446,19 @@ def _repeat_first_flash(bundle):
     path.write_text("".join(json.dumps(event) + "\n" for event in events))
 
 
+def _retype_flash(key, convert, value=None):
+    """Rewrite ``key`` of the first flash line (whose ``key`` is ``value``, if
+    given) as ``convert`` of itself: equal under a dict lookup or int(), but
+    not a JSON integer."""
+    def change(bundle):
+        path = bundle / "events.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        event = next(e for e in events if e["kind"] == "flash" and value in (None, e[key]))
+        event[key] = convert(event[key])
+        path.write_text("".join(json.dumps(event) + "\n" for event in events))
+    return change
+
+
 class TestCorruptBundles:
     @pytest.mark.parametrize(
         "change, command",
@@ -467,12 +480,19 @@ class TestCorruptBundles:
             (_set_events("flash", "cells", [[1, 1]], is_target=(False,), count=1), "eval"),
             (_drop("meta", "pattern"), "train"),
             (_repeat_first_flash, "eval"),
+            (_retype_flash("flash_id", bool, 1), "train"),
+            (_retype_flash("flash_id", float, 2), "train"),
+            (_retype_flash("slot", str, 17), "train"),
+            (_retype_flash("char_index", bool, 0), "train"),
+            (_retype_flash("repetition", float), "train"),
+            (_retype_flash("onset_s", str), "train"),
         ],
         ids=["no-n_samples", "no-channel_names", "text-fs_hz", "null-n_channels",
              "one-number-targets", "unknown-paradigm", "no-pattern", "no-isi_s", "array",
              "zero-isi_s", "fewer-reps-than-events", "text-is_target", "unknown-block",
              "pause-in-row-block", "cells-not-the-pattern", "train-no-pattern",
-             "repeated-flash"],
+             "repeated-flash", "true-flash_id", "float-flash_id", "text-slot",
+             "false-char_index", "float-repetition", "text-onset_s"],
     )
     def test_exits_3(self, session_pair, tmp_path, capsys, change, command):
         shutil.copytree(session_pair / "b", tmp_path / "b")

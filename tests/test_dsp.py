@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import signal
 
+from p300speller import dsp
 from p300speller.dsp import (
     Recording,
     decimate,
@@ -66,14 +70,14 @@ class TestFilter:
     def test_zero_in_zero_out(self):
         spec = design_bandpass(FS)
         rec = Recording(fs_hz=FS, samples=np.zeros((500, 8)))
-        out = filter_recording(spec, rec)
+        out = filter_recording(spec, rec, FS)
         assert np.all(out.samples == 0)
 
     def test_channel_independence(self):
         spec = design_bandpass(FS)
         x = np.zeros((500, 8))
         x[100, 2] = 1.0
-        out = filter_recording(spec, Recording(fs_hz=FS, samples=x))
+        out = filter_recording(spec, Recording(fs_hz=FS, samples=x), FS)
         untouched = [c for c in range(8) if c != 2]
         assert np.all(out.samples[:, untouched] == 0)
         assert np.any(out.samples[:, 2] != 0)
@@ -82,7 +86,7 @@ class TestFilter:
         spec = design_bandpass(FS)
         t = np.arange(int(30 * FS)) / FS
         x = np.sin(2 * np.pi * 5.0 * t)[:, None]
-        out = filter_recording(spec, Recording(fs_hz=FS, samples=x, channel_names=("a",)))
+        out = filter_recording(spec, Recording(fs_hz=FS, samples=x, channel_names=("a",)), FS)
         tail = out.samples[int(20 * FS):, 0]
         measured = np.sqrt(2) * tail.std()
         expected = abs(frequency_response(spec, [5.0])[0])
@@ -91,7 +95,7 @@ class TestFilter:
     def test_rate_mismatch(self):
         spec = design_bandpass(FS)
         with pytest.raises(ValidationError, match="Hz"):
-            filter_recording(spec, Recording(fs_hz=1000.0, samples=np.zeros((10, 8))))
+            filter_recording(spec, Recording(fs_hz=1000.0, samples=np.zeros((10, 8))), 25.0)
 
 
 class TestDecimate:
@@ -128,11 +132,49 @@ class TestDecimate:
         spec = design_bandpass(FS)
         t = np.arange(int(40 * FS)) / FS
         x = np.sin(2 * np.pi * 7.0 * t)[:, None]
-        out = decimate(filter_recording(spec, Recording(fs_hz=FS, samples=x, channel_names=("a",))), 25.0)
+        out = filter_recording(spec, Recording(fs_hz=FS, samples=x, channel_names=("a",)), 25.0)
         tail = out.samples[out.n_samples // 2:, 0]
         freqs = np.fft.rfftfreq(tail.size, d=1 / 25.0)
         peak = freqs[np.argmax(np.abs(np.fft.rfft(tail)))]
         assert peak == pytest.approx(7.0, abs=0.1)
+
+
+class TestStreamedFilter:
+    """filter_recording against one whole-signal sosfilt, subsampled."""
+
+    @pytest.mark.parametrize("q", [80, 1])
+    @pytest.mark.parametrize("n_channels", [1, 8, 64])
+    def test_same_bytes_as_one_pass(self, q, n_channels):
+        spec = design_bandpass(FS)
+        block = dsp.FILTER_BLOCK_VALUES // n_channels // q * q  # rows per block
+        lengths = {1, q - 1, q, q + 1, block, block + 1, 2 * block + q // 2 + 3} - {0}
+        rng = np.random.default_rng(n_channels)
+        for n in sorted(lengths):
+            x = rng.standard_normal((n, n_channels)).astype(np.float32)
+            rec = Recording(fs_hz=FS, samples=x, channel_names=tuple(map(str, range(n_channels))))
+            out = filter_recording(spec, rec, FS / q)
+            expected = signal.sosfilt(spec.sos, x, axis=0)[::q]
+            assert out.fs_hz == FS / q
+            assert out.samples.dtype == expected.dtype, n
+            assert np.array_equal(out.samples, expected), n
+
+    def test_non_integer_factor(self):
+        rec = Recording(fs_hz=FS, samples=np.zeros((100, 8)))
+        with pytest.raises(ValidationError, match="integer"):
+            filter_recording(design_bandpass(FS), rec, 30.0)
+
+    def test_bounded_memory(self):
+        x = np.random.default_rng(0).standard_normal((200_000, 64)).astype(np.float32)
+        rec = Recording(fs_hz=FS, samples=x, channel_names=tuple(map(str, range(64))))
+        spec = design_bandpass(FS)
+        tracemalloc.start()
+        try:
+            filter_recording(spec, rec, 25.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the input is 51.2 MB; one whole-signal float64 pass would peak near 109 MB
+        assert peak < 20e6
 
 
 class TestEpochs:

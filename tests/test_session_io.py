@@ -91,6 +91,18 @@ class TestReadErrors:
         with pytest.raises(BundleError, match="line 3"):
             read_session(tmp_path / "s")
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("slot", "2", "integer"), ("repetition", 0.0, "integer"), ("onset_s", True, "number"),
+    ])
+    def test_mistyped_number_names_line_and_field(self, tmp_path, recording, field, value, kind):
+        write_session(recording, tmp_path / "s")
+        events_path = tmp_path / "s" / "events.jsonl"
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        events[2][field] = value
+        events_path.write_text("\n" + "".join(json.dumps(e) + "\n" for e in events))
+        with pytest.raises(BundleError, match=f"line 4: {field} must be a JSON {kind}, got"):
+            read_session(tmp_path / "s")
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(BundleError, match="manifest"):
