@@ -232,6 +232,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args)
     rec = session_io.read_session(args.session)
     sf, clf = pipeline.train_models(pipeline.preprocess(rec, cfg.pipeline), cfg.pipeline)
+    _note_clamp(cfg.pipeline, sf.n_f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write(out / "xdawn.json", _model_bytes(sf))
@@ -241,6 +242,13 @@ def cmd_train(args) -> int:
         f"{out}/blda.json (converged={clf.converged}, {clf.iterations} iterations)"
     )
     return EXIT_OK
+
+
+def _note_clamp(cfg: PipelineConfig, fitted_n_f: int) -> None:
+    """Say on stderr, on every fit that clamps it, that n_f was clamped."""
+    if fitted_n_f < cfg.n_f:
+        print(f"note: only {fitted_n_f} spatial components available; clamped n_f from "
+              f"{cfg.n_f}", file=sys.stderr)
 
 
 def _model_bytes(model: SpatialFilterModel | BldaModel) -> bytes:
@@ -268,6 +276,7 @@ def cmd_eval(args) -> int:
     for (fit, scored), sched in zip(directions, scheds):
         matrix = patterns.default_matrix(sched.n)
         result = pipeline.evaluate(lows[fit], lows[scored], sched, cfg.pipeline, matrix)
+        _note_clamp(cfg.pipeline, result.n_f)
         runs.append((sched, result))
     accuracy = np.mean([result.accuracy_by_k for _, result in runs], axis=0)
     auc = float(np.mean([result.auc for _, result in runs]))

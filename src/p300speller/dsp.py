@@ -7,23 +7,24 @@ doubles as the anti-alias filter), and fixed 0.6 s post-stimulus epochs.
 
 Filtering is forward-only with zero initial conditions; the group delay
 is accepted rather than compensated, matching what an online system
-would see.  ``filter_recording`` bandpasses and decimates in one pass
-over blocks of rows, carrying the filter state from block to block and
-keeping each block's every q-th sample as soon as it is filtered, so the
-full-rate filtered signal is never held; the output has the same bytes
-as filtering the whole recording at once and then subsampling it.
+would see.  The Butterworth design is closed-form in numpy (prototype
+poles, low-pass to band-pass transform, prewarped bilinear transform).
+``filter_recording`` bandpasses and decimates in one pass as a block
+(polyphase) state-space decimator: the cascade's state advances once per
+block of q input samples and only the kept samples are computed, over
+blocks of rows, so the full-rate filtered signal is never held.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
 
 from .errors import PipelineError, ValidationError
 from .scheduler import Events
 
 DEFAULT_CHANNELS = ("O1", "O2", "P3", "P4", "P7", "P8", "Pz", "FCz")
-FILTER_BLOCK_VALUES = 2**18  # samples x channels filtered per block by filter_recording
+FILTER_BLOCK_VALUES = 2**17  # samples x channels filtered per block by filter_recording
+FILTER_CHUNK_BLOCKS = 16  # q-sample blocks per chunk, mapped by one operator in filter_recording
 
 
 @dataclass
@@ -97,7 +98,10 @@ def design_bandpass(
 
     ``order`` is the analog prototype order (the conventional argument of
     butter()), so the realized filter has 2*order poles.  Band edges are
-    prewarped and land at -3 dB.
+    prewarped and land at -3 dB.  Sections run from the poles farthest
+    from the unit circle to the nearest, the gain sits in the first, and
+    the zeros at z = -1 go to the first sections and those at z = 1 to the
+    last, as in scipy.signal.butter(..., output="sos").
     """
     if not 0 < low_hz < high_hz:
         raise ValidationError("need 0 < low_hz < high_hz")
@@ -107,41 +111,121 @@ def design_bandpass(
         raise ValidationError(
             f"high band edge {high_hz} Hz is at or above Nyquist ({fs_hz / 2} Hz)"
         )
-    sos = signal.butter(order, [low_hz, high_hz], btype="bandpass", output="sos", fs=fs_hz)
-    for section in sos:
-        poles = np.roots(section[3:])
-        if np.any(np.abs(poles) >= 1.0):
-            raise PipelineError("designed filter is unstable (pole on or outside unit circle)")
+    fs2 = 2 * fs_hz
+    low_w, high_w = fs2 * np.tan(np.pi * np.array([low_hz, high_hz]) / fs_hz)  # prewarped, rad/s
+    width = high_w - low_w
+    half = -np.exp(1j * np.pi * np.arange(1 - order, order, 2) / (2 * order)) * width / 2
+    root = np.sqrt(half**2 - low_w * high_w)
+    analog = np.concatenate([half + root, half - root])  # prototype poles, low-pass -> band-pass
+    poles = (fs2 + analog) / (fs2 - analog)  # bilinear transform
+    if np.any(np.abs(poles) >= 1.0):
+        raise PipelineError("designed filter is unstable (pole on or outside unit circle)")
+    # ``order`` zeros at s = 0 land on z = 1, and ``order`` at infinity on z = -1
+    gain = np.real((width * fs2) ** order / np.prod(fs2 - analog))
+    real = np.sort(poles[poles.imag == 0].real)  # two at most: odd order, wide band
+    pairs = [(p, p.conjugate()) for p in poles[poles.imag > 0]] + list(zip(real[::2], real[1::2]))
+    pairs.sort(key=lambda pair: max(abs(pair[0]), abs(pair[1])))
+    zeros = [[1.0, 2.0, 1.0]] * (order // 2) + [[1.0, 0.0, -1.0]] * (order % 2)
+    zeros += [[1.0, -2.0, 1.0]] * (order // 2)
+    sos = np.array([num + [1.0, -np.real(a + b), np.real(a * b)]
+                    for num, (a, b) in zip(zeros, pairs)])
+    sos[0, :3] *= gain
     return FilterSpec(order=order, low_hz=low_hz, high_hz=high_hz, fs_hz=fs_hz, sos=sos)
 
 
 def frequency_response(spec: FilterSpec, freqs_hz) -> np.ndarray:
     """Complex response of the realized filter at the given frequencies."""
-    _, h = signal.sosfreqz(spec.sos, worN=np.atleast_1d(freqs_hz), fs=spec.fs_hz)
-    return h
+    w = np.exp(-2j * np.pi * np.atleast_1d(freqs_hz) / spec.fs_hz)[:, None]  # z^-1
+    b0, b1, b2, a0, a1, a2 = spec.sos.T
+    return np.prod((b0 + w * (b1 + w * b2)) / (a0 + w * (a1 + w * a2)), axis=1)
 
 
 def filter_recording(spec: FilterSpec, rec: Recording, fs_out: float) -> Recording:
     """Causal forward filtering from a zero state, then every q-th sample
     from index 0, q = rec.fs_hz / fs_out (see ``decimate``).
 
-    Filters blocks of about ``FILTER_BLOCK_VALUES`` values, each a multiple
-    of q rows so that it starts on a kept sample, and carries the filter
-    state across blocks: the result has the same bytes as one pass over the
-    whole recording followed by ``decimate``.
+    Only the kept samples are computed.  The cascade runs as one state
+    space s' = A s + B x, y = C s + D x, updated once per block of q
+    samples: s <- A^q s + G x_block, with G = [A^(q-1) B ... B], and the
+    kept output is C s + D x at the block's first sample.  One matmul
+    maps the G x_block of ``FILTER_CHUNK_BLOCKS`` consecutive blocks (a
+    chunk) to the chunk's kept outputs and end state from a zero start; a
+    loop over chunks then adds each chunk's start state.  Rows are read in
+    blocks of about ``FILTER_BLOCK_VALUES`` values, whole chunks each; the
+    recording's last block is padded with zero input, and its last chunk
+    with zero increments.  So the bytes of the result do not depend on the
+    block size, and no more than q - 1 rows are added.
+
+    The carried state goes non-finite for good at a non-finite input
+    sample, wherever it sits, so a PipelineError names the channel.
     """
     if spec.fs_hz != rec.fs_hz:
         raise ValidationError(
             f"filter designed for {spec.fs_hz} Hz, recording is {rec.fs_hz} Hz"
         )
     q = _decimation_factor(rec.fs_hz, fs_out)
-    step = max(1, FILTER_BLOCK_VALUES // rec.n_channels // q) * q
-    state = np.zeros((len(spec.sos), 2, rec.n_channels))
+    blocks, channels = FILTER_CHUNK_BLOCKS, rec.n_channels
+    width = min(q, rec.n_samples)  # a recording shorter than q is one partial block
+    feed, start_map, chunk_map, direct = _block_operators(spec.sos, q, blocks, width)
+    n = len(feed)
+    step = max(1, FILTER_BLOCK_VALUES // channels // (q * blocks)) * q * blocks
+    state = np.zeros((n, channels))
     kept = []
     for start in range(0, rec.n_samples, step):
-        y, state = signal.sosfilt(spec.sos, rec.samples[start : start + step], axis=0, zi=state)
-        kept.append(y[::q].copy())  # a strided view would pin the whole block
+        x = rec.samples[start : start + step]
+        if len(x) % width:
+            x = np.concatenate([x, np.zeros((-len(x) % width, channels), x.dtype)])
+        # one matmul call per q-sample block, then one per chunk: the per-call
+        # shapes, and so the bytes, do not depend on how many chunks a block holds
+        x = x.astype(float).reshape(-1, width, channels)
+        z = np.matmul(feed, x)
+        if len(z) % blocks:
+            z = np.concatenate([z, np.zeros((-len(z) % blocks, n, channels))])
+        y = np.matmul(chunk_map, z.reshape(-1, blocks * n, channels))
+        for out in y:  # per chunk: kept outputs, then the end state
+            out += start_map @ state
+            state = out[blocks:]
+        kept.append(y[:, :blocks].reshape(-1, channels)[: len(x)] + direct * x[:, 0])
+    finite = np.isfinite(state).all(axis=0)
+    if not finite.all():
+        name = rec.channel_names[int(np.argmin(finite))]
+        raise PipelineError(f"channel {name!r} holds non-finite samples")
     return replace(rec, fs_hz=fs_out, samples=np.concatenate(kept))
+
+
+def _block_operators(sos: np.ndarray, q: int, blocks: int, width: int):
+    """(G, F_start, F_increments, D) for filter_recording, G holding the
+    first ``width`` columns of [A^(q-1) B ... B].
+
+    The cascade of transposed direct-form II sections becomes one state
+    space with two states per section, built section by section (one
+    polynomial of degree 2*order would be ill-conditioned).  F = [F_start |
+    F_increments] maps a chunk's start state and the G x_block of its
+    ``blocks`` blocks to the kept output of each block and the end state.
+    """
+    n = 2 * len(sos)
+    a, b, c, d = np.zeros((n, n)), np.zeros(n), np.zeros(n), 1.0
+    for i, (b0, b1, b2, _, a1, a2) in enumerate(sos):  # (c, d): this section's input
+        k = slice(2 * i, 2 * i + 2)
+        into = np.array([b1 - a1 * b0, b2 - a2 * b0])
+        a[k] += np.outer(into, c)
+        a[k, k] += [[-a1, 1.0], [-a2, 0.0]]
+        b[k] = into * d
+        c, d = b0 * c, b0 * d
+        c[2 * i] += 1.0
+    g = np.empty((n, width))
+    b = np.linalg.matrix_power(a, q - width) @ b
+    for j in range(width - 1, -1, -1):
+        g[:, j], b = b, a @ b
+    advance = np.linalg.matrix_power(a, q)  # one block of q samples
+    state = np.eye(n, n * (blocks + 1))  # as a map of (start state, increments)
+    outputs = []
+    for i in range(blocks):
+        outputs.append(c @ state)
+        state = advance @ state
+        state[:, n * (i + 1) : n * (i + 2)] += np.eye(n)
+    f = np.vstack(outputs + [state])
+    return g, f[:, :n], f[:, n:], d
 
 
 def _decimation_factor(fs_in: float, fs_out: float) -> int:

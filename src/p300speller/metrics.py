@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import PipelineError, ValidationError
 from .scheduler import slots_per_repetition
@@ -99,6 +98,8 @@ def paired_t_test(a, b) -> tuple[float, int, float]:
     sd = d.std(ddof=1)
     if sd == 0:
         raise PipelineError("degenerate test: paired differences have zero variance")
+    from scipy import special  # here, so that train and eval import no scipy
+
     df = d.size - 1
     t = float(d.mean() / (sd / np.sqrt(d.size)))
     p = 2.0 * float(special.stdtr(df, -abs(t)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blda, decoder, dsp, metrics, xdawn
-from .errors import BundleError, PipelineError, ValidationError
+from .errors import BundleError, ValidationError
 from .patterns import SpellerMatrix
 from .scheduler import Events, Schedule, slots_per_repetition
 
@@ -40,20 +40,16 @@ class EvalResult:
     accuracy_by_k: np.ndarray
     roc: metrics.RocCurve
     auc: float
+    n_f: int  # spatial components fitted, at most the configured n_f
     decisions: list = field(default_factory=list)
 
 
 def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:
     """Bandpass then decimate: the only step that reads the raw signal, run
-    once per recording.  A non-finite input sample shows up in every later
-    output sample of its channel (the filter is a causal IIR)."""
+    once per recording.  A non-finite input sample anywhere is a
+    PipelineError naming its channel (see ``dsp.filter_recording``)."""
     spec = dsp.design_bandpass(rec.fs_hz, cfg.low_hz, cfg.high_hz, cfg.filter_order)
-    low = dsp.filter_recording(spec, rec, cfg.fs_out_hz)
-    finite = np.isfinite(low.samples).all(axis=0)
-    if not finite.all():
-        name = low.channel_names[int(np.argmin(finite))]
-        raise PipelineError(f"channel {name!r} holds non-finite samples")
-    return low
+    return dsp.filter_recording(spec, rec, cfg.fs_out_hz)
 
 
 def _require_low_rate(low: dsp.Recording, cfg: PipelineConfig) -> None:
@@ -104,7 +100,8 @@ def evaluate(
     decisions = decoder.decode_characters(test_schedule, scores, matrix)
     accuracy = decoder.accuracy_by_repetition(decisions, test_schedule.targets)
     curve = metrics.roc(scores, labels)
-    return EvalResult(accuracy_by_k=accuracy, roc=curve, auc=curve.auc, decisions=decisions)
+    return EvalResult(accuracy_by_k=accuracy, roc=curve, auc=curve.auc, n_f=sf.n_f,
+                      decisions=decisions)
 
 
 def schedule_meta(schedule: Schedule) -> dict:

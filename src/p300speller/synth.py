@@ -14,7 +14,6 @@ values; they exist so the pipeline is testable without human recordings.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .dsp import DEFAULT_CHANNELS, Recording
 from .errors import ValidationError
@@ -158,6 +157,8 @@ def synthesize_session(
 
     data = np.zeros((n_samples, n_ch))
     if noise.background_sigma_uv > 0:
+        from scipy import signal  # here, so that train and eval import no scipy
+
         innovations = rng.standard_normal((n_samples, n_ch)) * noise.background_sigma_uv
         data += signal.lfilter([1.0], [1.0, -noise.ar_coeff], innovations, axis=0)
     if noise.alpha_amp_uv > 0:

@@ -15,11 +15,9 @@ Qd' Qx therefore solve the problem, and the singular values are cosines
 of principal angles, so every rho lies in [0, 1].
 """
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
 from .errors import PipelineError, ValidationError
 from .dsp import Recording
@@ -75,7 +73,9 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
 
     Filters are normalized to unit Euclidean length with the
     largest-magnitude coefficient positive (the objective is invariant to
-    scale and sign, tests are not).
+    scale and sign, tests are not).  At most min(erp_len, C) components
+    exist; a larger ``n_f`` is clamped, and the model's ``n_f`` says how
+    many were fitted.
     """
     if n_f < 1:
         raise ValidationError(f"n_f must be >= 1, got {n_f}")
@@ -98,14 +98,8 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
         raise PipelineError("degenerate signal: channel covariance is rank-deficient")
 
     _, lam, psi_t = np.linalg.svd(qd.T @ qx, full_matrices=False)
-    available = lam.size
-    if available < n_f:
-        warnings.warn(
-            f"only {available} spatial components available; clamping n_f from {n_f}",
-            stacklevel=2,
-        )
-        n_f = available
-    u = linalg.solve_triangular(rx, psi_t[:n_f].T)
+    n_f = min(n_f, lam.size)
+    u = np.linalg.solve(rx, psi_t[:n_f].T)
     u /= np.linalg.norm(u, axis=0, keepdims=True)
     flip = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(n_f)])
     u *= flip

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,44 @@ class TestTrain:
         )
         assert code == 4
         assert "target" in err
+
+    def test_nf_clamp_noted_on_every_run(self, session_pair, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pipeline": {"n_f": 40}}))
+        argv = ["train", "--session", str(session_pair / "a"), "--out", str(tmp_path / "m"),
+                "--config", str(cfg)]
+        first, second = run(argv, capsys), run(argv, capsys)
+        assert first == second and first[0] == 0
+        assert first[2] == "note: only 8 spatial components available; clamped n_f from 40\n"
+        assert json.loads((tmp_path / "m" / "xdawn.json").read_text())["n_f"] == 8
+        argv = eval_argv(session_pair / "a", session_pair / "b", tmp_path / "e")
+        argv += ["--config", str(cfg)]
+        first, second = run(argv, capsys), run(argv, capsys)
+        assert first == second and first[0] == 0
+        assert first[2].count("clamped n_f from 40") == 2  # one fit per direction
+
+
+class TestNoScipy:
+    def test_train_and_eval_import_no_scipy(self, session_pair, tmp_path):
+        # a fresh interpreter: scipy must not load at import nor inside the commands
+        code = """if True:
+            import sys
+            from p300speller.cli import main
+            a, b, out = sys.argv[1:]
+            assert main(["train", "--session", a, "--out", out + "/m"]) == 0
+            assert main(["eval", "--train-session", a, "--test-session", b,
+                         "--out", out + "/e", "--swap"]) == 0
+            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            """
+        src = str(Path(pipeline.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", code, str(session_pair / "a"),
+                               str(session_pair / "b"), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "e" / "decisions_swap.csv").exists()
 
 
 class TestEval:

@@ -65,6 +65,16 @@ class TestDesign:
         with pytest.raises(ValidationError, match="Nyquist"):
             design_bandpass(20.0)
 
+    @pytest.mark.parametrize("fs", [250.0, 2000.0])
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("band", [(1.0, 12.5), (0.1, 40.0), (8.0, 12.0), (20.0, 100.0)])
+    def test_response_matches_scipy_butter(self, fs, order, band):
+        spec = design_bandpass(fs, *band, order)
+        reference = signal.butter(order, band, btype="bandpass", output="sos", fs=fs)
+        freqs = np.linspace(0.0, fs / 2, 1001)
+        _, expected = signal.sosfreqz(reference, worN=freqs, fs=fs)
+        assert np.abs(frequency_response(spec, freqs) - expected).max() <= 1e-9
+
 
 class TestFilter:
     def test_zero_in_zero_out(self):
@@ -140,28 +150,73 @@ class TestDecimate:
 
 
 class TestStreamedFilter:
-    """filter_recording against one whole-signal sosfilt, subsampled."""
+    """filter_recording against one whole-signal sosfilt, subsampled, and
+    against itself over blocks of rows of any size."""
 
-    @pytest.mark.parametrize("q", [80, 1])
-    @pytest.mark.parametrize("n_channels", [1, 8, 64])
-    def test_same_bytes_as_one_pass(self, q, n_channels):
-        spec = design_bandpass(FS)
-        block = dsp.FILTER_BLOCK_VALUES // n_channels // q * q  # rows per block
-        lengths = {1, q - 1, q, q + 1, block, block + 1, 2 * block + q // 2 + 3} - {0}
+    @staticmethod
+    def signals(q, n_channels):
+        """Lengths around a chunk, a block of rows and two blocks."""
+        chunk = q * dsp.FILTER_CHUNK_BLOCKS
+        block = max(1, dsp.FILTER_BLOCK_VALUES // n_channels // chunk) * chunk  # rows per block
+        lengths = {1, q - 1, q, q + 1, chunk + 1, block, block + 1, 2 * block + q // 2 + 3} - {0}
         rng = np.random.default_rng(n_channels)
         for n in sorted(lengths):
             x = rng.standard_normal((n, n_channels)).astype(np.float32)
-            rec = Recording(fs_hz=FS, samples=x, channel_names=tuple(map(str, range(n_channels))))
+            yield Recording(fs_hz=FS, samples=x, channel_names=tuple(map(str, range(n_channels))))
+
+    @pytest.mark.parametrize("q", [80, 1])
+    @pytest.mark.parametrize("n_channels", [1, 8, 64])
+    def test_matches_sosfilt(self, q, n_channels):
+        # the block state space sums in another order than sosfilt: equal to
+        # far below the float32 resolution of the recorded signal
+        spec = design_bandpass(FS)
+        for rec in self.signals(q, n_channels):
             out = filter_recording(spec, rec, FS / q)
-            expected = signal.sosfilt(spec.sos, x, axis=0)[::q]
+            expected = signal.sosfilt(spec.sos, rec.samples, axis=0)[::q]
             assert out.fs_hz == FS / q
-            assert out.samples.dtype == expected.dtype, n
-            assert np.array_equal(out.samples, expected), n
+            assert out.samples.dtype == expected.dtype == np.float64
+            assert out.samples.shape == expected.shape
+            bound = np.finfo(np.float32).eps * np.abs(expected).max()
+            assert np.abs(out.samples - expected).max() <= bound, rec.n_samples
+
+    @pytest.mark.parametrize("q", [80, 1])
+    @pytest.mark.parametrize("n_channels", [1, 8, 64])
+    def test_same_bytes_as_one_pass(self, q, n_channels, monkeypatch):
+        # one chunk per block of rows, the default, and the whole recording at once
+        spec = design_bandpass(FS)
+        for rec in self.signals(q, n_channels):
+            outputs = []
+            whole = rec.samples.size * q * dsp.FILTER_CHUNK_BLOCKS
+            for values in (1, dsp.FILTER_BLOCK_VALUES, whole):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dsp, "FILTER_BLOCK_VALUES", values)
+                    outputs.append(filter_recording(spec, rec, FS / q).samples)
+            assert all(out.tobytes() == outputs[0].tobytes() for out in outputs), rec.n_samples
 
     def test_non_integer_factor(self):
         rec = Recording(fs_hz=FS, samples=np.zeros((100, 8)))
         with pytest.raises(ValidationError, match="integer"):
             filter_recording(design_bandpass(FS), rec, 30.0)
+
+    def test_factor_above_recording_length(self):
+        # one partial block of 1,000 rows: nothing may grow with q = 100,000
+        x = np.random.default_rng(1).standard_normal((1000, 2)).astype(np.float32)
+        rec = Recording(fs_hz=FS, samples=x, channel_names=("a", "b"))
+        spec = design_bandpass(FS)
+        tracemalloc.start()
+        try:
+            out = filter_recording(spec, rec, FS / 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = signal.sosfilt(spec.sos, x, axis=0)[:1]
+        assert out.samples.shape == (1, 2)
+        bound = np.finfo(np.float32).eps * np.abs(expected).max()
+        assert np.abs(out.samples - expected).max() <= bound
+        assert peak < 1e6
+        x[-1, 1] = np.nan
+        with pytest.raises(PipelineError, match="'b'"):
+            filter_recording(spec, rec, FS / 100_000)
 
     def test_bounded_memory(self):
         x = np.random.default_rng(0).standard_normal((200_000, 64)).astype(np.float32)

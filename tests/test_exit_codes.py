@@ -12,7 +12,6 @@ import io
 import json
 import shutil
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -106,14 +105,11 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def run_twice(argv) -> int:
-    """Exit code of ``main(argv)``, after checking that a second run agrees
-    (warnings are shown every time, as in a fresh process)."""
+    """Exit code of ``main(argv)``, after checking that a second run agrees."""
     results = []
     for _ in range(2):
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv])
         assert code in CONTRACT, err.getvalue()
         assert "Traceback" not in err.getvalue()

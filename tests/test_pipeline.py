@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from p300speller.dsp import extract_epochs
-from p300speller.errors import ValidationError
+from p300speller.dsp import Recording, extract_epochs
+from p300speller.errors import PipelineError, ValidationError
 from p300speller.patterns import default_matrix, make_constrained_pattern, make_rc_pattern
 from p300speller.pipeline import (
     PipelineConfig,
@@ -45,6 +45,15 @@ class TestChain:
         assert low.fs_hz == 25.0
         assert low.n_samples == -(-rec.n_samples // 80)  # ceil of T / 80
         assert len(low.events) == len(rec.events)
+
+    # 8079 rows keep rows 0, 80, ..., 8000; 8001 and 8078 reach no kept sample
+    @pytest.mark.parametrize("row", [81, 8001, 8078])
+    def test_non_finite_sample_anywhere_names_channel(self, row):
+        x = np.random.default_rng(0).standard_normal((8079, 2)).astype(np.float32)
+        x[row, 1] = np.nan
+        rec = Recording(fs_hz=2000.0, samples=x, channel_names=("a", "b"))
+        with pytest.raises(PipelineError, match="channel 'b' holds non-finite samples"):
+            preprocess(rec, PipelineConfig())
 
     def test_epoch_feature_width_after_spatial_filter(self):
         (rec, sched), _ = make_pair("xp300", 2)
