@@ -292,8 +292,7 @@ def cmd_eval(args) -> int:
         lines.append(f"{k},{float(acc)!r},{itr!r}")
     atomic_write(out / "metrics.csv", ("\n".join(lines) + "\n").encode())
     for suffix, (sched, result) in zip(("", "_swap"), runs):
-        points = result.roc.points
-        roc_lines = ["fpr,tpr"] + [f"{float(fpr)!r},{float(tpr)!r}" for fpr, tpr in points]
+        roc_lines = ["fpr,tpr"] + [f"{fpr!r},{tpr!r}" for fpr, tpr in result.roc.points.tolist()]
         atomic_write(out / f"roc{suffix}.csv", ("\n".join(roc_lines) + "\n").encode())
         decisions = decisions_csv(result.decisions, sched.targets)
         atomic_write(out / f"decisions{suffix}.csv", decisions.encode())

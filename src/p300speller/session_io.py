@@ -9,6 +9,11 @@ A bundle is a directory of three files:
   channels of sample 0, then sample 1, and so on.
 * ``events.jsonl`` -- one stimulus-event object per line, streamable; a
   flash's ``cells`` are written from the pattern and checked against it.
+  The writer's canonical line is compact JSON with sorted keys, e.g.
+  ``{"block":"row","cells":[[1,2],[2,1]],"char_index":0,"flash_id":2,``
+  ``"is_target":false,"kind":"flash","onset_s":0.0,"repetition":0,"slot":0}``.
+  A file of canonical lines is read column by column, with one regex pass;
+  any other valid JSON spelling is read line by line, with the same checks.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
 identical inputs; reads verify the version, that the signal size matches
@@ -17,12 +22,13 @@ the manifest, and every event line.
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import Recording
-from .errors import BundleError
+from .errors import BundleError, ValidationError
 from .patterns import FlashPattern, cells_for_flash
 from .scheduler import BLOCKS, COLUMNS, FLASH, PAUSE, Events
 
@@ -31,6 +37,27 @@ MANIFEST_NAME = "manifest.json"
 SIGNAL_NAME = "signal.f32"
 EVENTS_NAME = "events.jsonl"
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_INTEGER = r"-?(?:0|[1-9][0-9]*)"
+# every field of the canonical events.jsonl line, in its (sorted) key order,
+# with a regex its JSON text matches; the key fields are fixed by the line's
+# (kind, block, flash_id) and checked against the pattern, the others vary
+_EVENT_FIELDS = {
+    "block": r'null|"\w*"',
+    "cells": r"\[[][0-9,]*\]",
+    "char_index": _INTEGER,
+    "flash_id": r"null|[0-9]+",
+    "is_target": "true|false",
+    "kind": r'"\w*"',
+    "onset_s": _INTEGER + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?",
+    "repetition": _INTEGER,
+    "slot": _INTEGER,
+}
+_KEY_FIELDS = ("kind", "block", "flash_id", "cells")
+_VARYING_FIELDS = tuple(name for name in _EVENT_FIELDS if name not in _KEY_FIELDS)
+# compiled on first use (``re`` caches it), so importing the CLI stays cheap
+_CANONICAL_LINE = (
+    r"^\{" + ",".join(f'"{name}":({regex})' for name, regex in _EVENT_FIELDS.items()) + r"\}\n"
+)
 # the JSON types each number field of events.jsonl takes; a dict lookup or
 # int() would also take true for 1, 2.0 for 2 and "17" for 17
 _NUMBER_TYPES = {"onset_s": {int, float}, "slot": {int}, "char_index": {int},
@@ -52,8 +79,7 @@ def write_session(rec: Recording, path, meta: dict | None = None) -> None:
         "channel_names": list(rec.channel_names),
         "meta": meta,
     }
-    signal = np.ascontiguousarray(rec.samples, dtype="<f4")
-    atomic_write(path / SIGNAL_NAME, signal.tobytes())
+    atomic_write(path / SIGNAL_NAME, np.ascontiguousarray(rec.samples, dtype="<f4"))
     events = "" if rec.events is None else events_jsonl(rec.events)
     atomic_write(path / EVENTS_NAME, events.encode())
     atomic_write(
@@ -63,18 +89,24 @@ def write_session(rec: Recording, path, meta: dict | None = None) -> None:
 
 
 def events_jsonl(events: Events) -> str:
-    """One compact, key-sorted JSON object per event and line."""
-    cells = _cells_by_key(events.pattern)
-    lines = []
-    for onset, slot, char, rep, block, flash_id, target in zip(
-        *(getattr(events, name).tolist() for name in COLUMNS)
-    ):
-        kind, name, fid = (FLASH, BLOCKS[block], flash_id) if block >= 0 else (PAUSE, None, None)
-        obj = {"onset_s": onset, "kind": kind, "block": name, "flash_id": fid,
-               "cells": cells[kind, name, fid], "char_index": char, "repetition": rep,
-               "is_target": target, "slot": slot}
-        lines.append(_EVENT_ENCODER.encode(obj) + "\n")
-    return "".join(lines)
+    """One canonical line (compact, key-sorted JSON) per event: each (block,
+    flash_id) of the pattern has one %-format string holding its key fields'
+    JSON, and each event fills in the fields that vary."""
+    formats = {}
+    for key, texts in _key_texts(events.pattern).items():
+        fields = (f'"{name}":' + (texts[name].replace("%", "%%") if name in texts else "%s")
+                  for name in _EVENT_FIELDS)
+        formats[key] = "{" + ",".join(fields) + "}\n"
+    columns = {
+        "char_index": events.char_index.tolist(),
+        "is_target": list(map(("false", "true").__getitem__, events.is_target.tolist())),
+        "onset_s": list(map(repr, events.onset_s.tolist())),  # finite, as Recording checks
+        "repetition": events.repetition.tolist(),
+        "slot": events.slot.tolist(),
+    }
+    keys = zip(events.block.tolist(), events.flash_id.tolist())
+    rows = zip(*map(columns.get, _VARYING_FIELDS))
+    return "".join(map(str.__mod__, map(formats.__getitem__, keys), rows))
 
 
 def _cells_by_key(pattern: FlashPattern) -> dict:
@@ -87,6 +119,17 @@ def _cells_by_key(pattern: FlashPattern) -> dict:
     return cells
 
 
+def _key_texts(pattern: FlashPattern) -> dict:
+    """The (block, flash_id) columns of every flash of the pattern, and of a
+    pause, mapped to the JSON text of each key field of its line."""
+    texts = {}
+    for (kind, block, flash_id), cells in _cells_by_key(pattern).items():
+        key = (BLOCKS.index(block), flash_id) if kind == FLASH else (-1, 0)
+        fields = {"kind": kind, "block": block, "flash_id": flash_id, "cells": cells}
+        texts[key] = {name: _EVENT_ENCODER.encode(value) for name, value in fields.items()}
+    return texts
+
+
 def read_manifest(path) -> dict:
     path = Path(path)
     try:
@@ -95,6 +138,8 @@ def read_manifest(path) -> dict:
         raise BundleError(f"no {MANIFEST_NAME} in {path}") from None
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path / MANIFEST_NAME}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleError(f"{path / MANIFEST_NAME}: not a JSON object")
     version = manifest.get("format_version")
@@ -132,11 +177,57 @@ def read_session(path) -> Recording:
         )
     samples = np.frombuffer(raw, dtype="<f4").reshape(n_samples, n_channels)
     events = _read_events(path / EVENTS_NAME, pattern)
-    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
+    try:
+        return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
+    except ValidationError as exc:  # an onset outside the signal
+        raise BundleError(f"{path / EVENTS_NAME}: {exc}") from exc
 
 
 def _read_events(path: Path, pattern: FlashPattern) -> Events:
-    """Parse events.jsonl, checking each line's fields and its cells against the pattern."""
+    """Parse events.jsonl: a file of canonical lines in one pass, any other
+    file line by line."""
+    events = _read_canonical_events(path, pattern)
+    return events if events is not None else _read_event_lines(path, pattern)
+
+
+def _read_canonical_events(path: Path, pattern: FlashPattern) -> Events | None:
+    """The events of a file whose every line is canonical and holds a key of
+    the pattern and a finite onset; None for any other file.  A file that is
+    not text is a BundleError."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: {exc}") from exc
+    rows = re.findall(_CANONICAL_LINE, text, re.MULTILINE | re.ASCII)
+    if text[-1:] not in ("", "\n") or len(rows) != text.count("\n"):
+        return None
+    columns = dict(zip(_EVENT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_EVENT_FIELDS, ())
+    texts = _key_texts(pattern)
+    known = {tuple(map(key_texts.get, _KEY_FIELDS)) for key_texts in texts.values()}
+    if not set(zip(*map(columns.get, _KEY_FIELDS))) <= known:  # once per distinct key
+        return None
+    # every line holds a key of the pattern, so its block and flash_id texts name it
+    blocks = {key_texts["block"]: block for (block, _), key_texts in texts.items()}
+    flash_ids = {key_texts["flash_id"]: flash_id for (_, flash_id), key_texts in texts.items()}
+    try:
+        events = Events(
+            pattern,
+            onset_s=list(map(float, columns["onset_s"])),
+            slot=list(map(int, columns["slot"])),
+            char_index=list(map(int, columns["char_index"])),
+            repetition=list(map(int, columns["repetition"])),
+            block=list(map(blocks.get, columns["block"])),
+            flash_id=list(map(flash_ids.get, columns["flash_id"])),
+            is_target=list(map("true".__eq__, columns["is_target"])),
+        )
+    except OverflowError:
+        return None
+    return events if np.isfinite(events.onset_s).all() else None
+
+
+def _read_event_lines(path: Path, pattern: FlashPattern) -> Events:
+    """Parse events.jsonl line by line, checking each line's fields and its
+    cells against the pattern."""
     cells = _cells_by_key(pattern)
     rows, linenos = [], []
     with open(path) as fh:
@@ -170,12 +261,19 @@ def _read_events(path: Path, pattern: FlashPattern) -> Events:
             raise BundleError(f"{path} line {linenos[i]}: {name} must be a JSON {kind}, "
                               f"got {columns[name][i]!r}")
     try:
-        return Events(pattern, **columns)
+        events = Events(pattern, **columns)
     except OverflowError as exc:
         raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
+    infinite = np.flatnonzero(~np.isfinite(events.onset_s))
+    if infinite.size:
+        i = infinite[0]
+        raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, "
+                          f"got {columns['onset_s'][i]!r}")
+    return events
 
 
-def atomic_write(target: Path, data: bytes) -> None:
+def atomic_write(target: Path, data) -> None:
+    """Write bytes, or an array's buffer, to ``target`` through a temp file."""
     tmp = target.with_name(target.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, target)

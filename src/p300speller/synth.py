@@ -155,12 +155,15 @@ def synthesize_session(
     n_samples = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
     n_ch = len(channels)
 
-    data = np.zeros((n_samples, n_ch))
     if noise.background_sigma_uv > 0:
         from scipy import signal  # here, so that train and eval import no scipy
 
-        innovations = rng.standard_normal((n_samples, n_ch)) * noise.background_sigma_uv
-        data += signal.lfilter([1.0], [1.0, -noise.ar_coeff], innovations, axis=0)
+        # filter each channel's contiguous row, not the strided columns of the T x C draw
+        innovations = rng.standard_normal((n_samples, n_ch)).T.copy()
+        innovations *= noise.background_sigma_uv
+        data = signal.lfilter([1.0], [1.0, -noise.ar_coeff], innovations, axis=1).T
+    else:
+        data = np.zeros((n_samples, n_ch))
     if noise.alpha_amp_uv > 0:
         phases = rng.uniform(0.0, 2 * np.pi, n_ch)
         t = np.arange(n_samples)[:, None] / fs_hz
@@ -185,7 +188,7 @@ def synthesize_session(
 
     return Recording(
         fs_hz=fs_hz,
-        samples=data.astype(np.float32),
+        samples=data.astype(np.float32, order="C"),
         channel_names=channels,
         events=schedule.events,
     )

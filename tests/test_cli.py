@@ -475,7 +475,7 @@ def _set_events(kind, key, value, is_target=(True, False), count=None):
         chosen = [e for e in events if e["kind"] == kind and e["is_target"] in is_target]
         for event in chosen[:count]:
             event[key] = value
-        path.write_text("".join(json.dumps(event) + "\n" for event in events))
+        _write_events(path, events)
     return change
 
 
@@ -485,7 +485,7 @@ def _repeat_first_flash(bundle):
     events = [json.loads(line) for line in path.read_text().splitlines()]
     for key in ("flash_id", "cells", "is_target"):
         events[1][key] = events[0][key]
-    path.write_text("".join(json.dumps(event) + "\n" for event in events))
+    _write_events(path, events)
 
 
 def _retype_flash(key, convert, value=None):
@@ -497,8 +497,25 @@ def _retype_flash(key, convert, value=None):
         events = [json.loads(line) for line in path.read_text().splitlines()]
         event = next(e for e in events if e["kind"] == "flash" and value in (None, e[key]))
         event[key] = convert(event[key])
-        path.write_text("".join(json.dumps(event) + "\n" for event in events))
+        _write_events(path, events)
     return change
+
+
+def _set_onset(index, value):
+    """Set ``onset_s`` of events.jsonl line ``index`` (0-based)."""
+    def change(bundle):
+        path = bundle / "events.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        events[index]["onset_s"] = value
+        _write_events(path, events)
+    return change
+
+
+def _write_events(path, events):
+    """Write event objects in the writer's compact, key-sorted line form, so
+    that a corrupt line reaches the one-pass reader of canonical lines."""
+    path.write_text("".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+                            for e in events))
 
 
 class TestCorruptBundles:
@@ -546,6 +563,29 @@ class TestCorruptBundles:
         code, _, err = run(argv, capsys)
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "onset, message",
+        [
+            (float("nan"), "line 6: onset_s must be finite, got nan"),
+            (float("inf"), "line 6: onset_s must be finite, got inf"),
+            (-float("inf"), "line 6: onset_s must be finite, got -inf"),
+            (1e6, "events.jsonl: event at 1000000.0s lies outside the recording"),
+            (-0.25, "events.jsonl: event at -0.25s lies outside the recording"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "past-the-signal", "negative"],
+    )
+    def test_bad_onset_exits_3(self, session_pair, tmp_path, capsys, onset, message, command):
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        _set_onset(5, onset)(tmp_path / "b")
+        if command == "train":
+            argv = ["train", "--session", str(tmp_path / "b"), "--out", str(tmp_path / "m")]
+        else:
+            argv = eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e")
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert err.startswith("i/o error: ") and message in err
 
     def test_meta_n_is_provenance_only(self, session_pair, tmp_path, capsys):
         shutil.copytree(session_pair / "b", tmp_path / "b")

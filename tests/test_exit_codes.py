@@ -169,7 +169,9 @@ def corrupt(bundle: Path, change) -> None:
         if isinstance(value, tuple):
             event = json.loads(lines[i])
             event[value[0]] = value[1]
-            value = json.dumps(event)
+            # the writer's compact, key-sorted form, so the line reaches the
+            # one-pass reader of canonical lines before the per-line one
+            value = json.dumps(event, sort_keys=True, separators=(",", ":"))
         lines[i] = value
         (bundle / "events.jsonl").write_text("\n".join(lines) + "\n")
 

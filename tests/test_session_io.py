@@ -1,16 +1,22 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from p300speller import session_io
 from p300speller.cli import main
 from p300speller.dsp import Recording
 from p300speller.errors import BundleError
-from p300speller.patterns import make_constrained_pattern
-from p300speller.scheduler import make_xp300_schedule
-from p300speller.session_io import read_manifest, read_session, write_session
+from p300speller.patterns import make_constrained_pattern, make_rc_pattern
+from p300speller.scheduler import Events, make_cp300_schedule, make_xp300_schedule
+from p300speller.session_io import events_jsonl, read_manifest, read_session, write_session
 from p300speller.synth import synthesize_session
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 @pytest.fixture()
@@ -103,6 +109,35 @@ class TestReadErrors:
         with pytest.raises(BundleError, match=f"line 4: {field} must be a JSON {kind}, got"):
             read_session(tmp_path / "s")
 
+    @pytest.mark.parametrize("onset", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_onset_names_line(self, tmp_path, recording, onset):
+        write_session(recording, tmp_path / "s")
+        events_path = tmp_path / "s" / "events.jsonl"
+        lines = events_path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].replace('"onset_s":0.532,', f'"onset_s":{onset},')
+        events_path.write_text("".join(lines))
+        with pytest.raises(BundleError, match="line 5: onset_s must be finite, got"):
+            read_session(tmp_path / "s")
+
+    @pytest.mark.parametrize("onset", ["-0.5", "1e6"])
+    def test_onset_outside_signal_names_events_file(self, tmp_path, recording, onset):
+        write_session(recording, tmp_path / "s")
+        events_path = tmp_path / "s" / "events.jsonl"
+        lines = events_path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].replace('"onset_s":0.532,', f'"onset_s":{onset},')
+        events_path.write_text("".join(lines))
+        with pytest.raises(BundleError, match=f"events.jsonl: event at {float(onset)}s lies "
+                                              f"outside the recording"):
+            read_session(tmp_path / "s")
+
+    @pytest.mark.parametrize("name", ["events.jsonl", "manifest.json"])
+    def test_undecodable_file(self, tmp_path, recording, name):
+        write_session(recording, tmp_path / "s")
+        with open(tmp_path / "s" / name, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(BundleError, match=f"{name}: .* can't decode byte 0xff"):
+            read_session(tmp_path / "s")
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(BundleError, match="manifest"):
@@ -130,3 +165,154 @@ class TestFormatPinned:
         assert main(["simulate", "--out", str(out)] + argv + ["--reps", "3", "--targets", "ABCDEF"]) == 0
         for name, sha in (("events.jsonl", events_sha), ("manifest.json", manifest_sha)):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, name
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns, or the message of the BundleError it raises."""
+    try:
+        return read(*args)
+    except BundleError as exc:
+        return str(exc)
+
+
+def _onset_line(line: str, onset: str) -> str:
+    return line.replace('"onset_s":0.133,', f'"onset_s":{onset},')
+
+
+# (id, edit of the lines of a canonical events.jsonl): each yields a file the
+# per-line reader accepts in another spelling, or rejects
+LINE_EDITS = [
+    ("blank-line", lambda lines: lines[:3] + ["\n"] + lines[3:]),
+    ("no-final-newline", lambda lines: lines[:-1] + [lines[-1].rstrip("\n")]),
+    ("crlf", lambda lines: [line.replace("\n", "\r\n") for line in lines]),
+    ("spaced", lambda lines: [json.dumps(json.loads(lines[0])) + "\n"] + lines[1:]),
+    ("unsorted", lambda lines: [json.dumps(dict(reversed(json.loads(lines[0]).items())),
+                                           separators=(",", ":")) + "\n"] + lines[1:]),
+    ("extra-key", lambda lines: [lines[0].replace("{", '{"a":1,', 1)] + lines[1:]),
+    ("escaped-block", lambda lines: [lines[0].replace('"row"', '"r\\u006fw"')] + lines[1:]),
+    ("exponent-onset", lambda lines: [lines[0], _onset_line(lines[1], "1.33E-1")] + lines[2:]),
+    ("integer-onset", lambda lines: [lines[0].replace('"onset_s":0.0,', '"onset_s":0,')]
+     + lines[1:]),
+    ("negative-zero-onset", lambda lines: [lines[0].replace('"onset_s":0.0,', '"onset_s":-0,')]
+     + lines[1:]),
+    ("nan-onset", lambda lines: [lines[0], _onset_line(lines[1], "NaN")] + lines[2:]),
+    ("overflowing-onset", lambda lines: [lines[0], _onset_line(lines[1], "1e400")] + lines[2:]),
+    ("non-ascii-digit", lambda lines: [lines[0].replace('"slot":0}', '"slot":\u0660}')]
+     + lines[1:]),
+    ("leading-zero", lambda lines: [lines[0].replace('"slot":0}', '"slot":00}')] + lines[1:]),
+    ("int64-overflow", lambda lines: [lines[0].replace('"slot":0}', '"slot":9' + "9" * 19 + "}")]
+     + lines[1:]),
+    ("text-slot", lambda lines: [lines[0].replace('"slot":0}', '"slot":"0"}')] + lines[1:]),
+    ("other-flash-cells", lambda lines: [lines[0].replace('"flash_id":6', '"flash_id":3')]
+     + lines[1:]),
+    ("flash-as-pause", lambda lines: [lines[0].replace('"kind":"flash"', '"kind":"pause"')]
+     + lines[1:]),
+    ("title-case-bool", lambda lines: [lines[0].replace("false", "False", 1)] + lines[1:]),
+]
+
+
+class TestCanonicalReader:
+    """A file of the writer's canonical lines is read in one regex pass;
+    every other file gives what the per-line reader gives."""
+
+    @pytest.fixture()
+    def canonical(self, tmp_path, recording):
+        write_session(recording, tmp_path / "s")
+        return tmp_path / "s" / "events.jsonl", recording.events.pattern
+
+    @pytest.mark.parametrize("edit", [edit for _, edit in LINE_EDITS],
+                             ids=[name for name, _ in LINE_EDITS])
+    def test_same_outcome_as_per_line_reader(self, canonical, edit):
+        path, pattern = canonical
+        text = path.read_text()
+        edited = "".join(edit(text.splitlines(keepends=True)))
+        assert edited != text
+        path.write_text(edited, newline="")
+        per_line = _outcome(session_io._read_event_lines, path, pattern)
+        assert _outcome(session_io._read_events, path, pattern) == per_line
+
+    def test_no_json_loads_for_a_simulated_bundle(self, tmp_path, monkeypatch):
+        """Only the manifest goes through ``json.loads``: a writer whose lines
+        stopped matching the canonical form would send every read to the
+        per-line reader, one call per event."""
+        out = tmp_path / "b"
+        assert main(["simulate", "--out", str(out), "--seed", "5", "--reps", "3",
+                     "--targets", "ABCDEF"]) == 0
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text))
+        rec = read_session(out)
+        assert len(calls) == 1 and len(rec.events) == 252
+        lines = (out / "events.jsonl").read_text().splitlines(keepends=True)
+        lines[7] = json.dumps(json.loads(lines[7])) + "\n"
+        (out / "events.jsonl").write_text("".join(lines))
+        calls.clear()
+        assert read_session(out).events == rec.events
+        assert len(calls) == 1 + len(lines)
+
+
+SCHEDULES = st.fixed_dictionaries({
+    "paradigm": st.sampled_from(["cp300", "xp300"]),
+    "n": st.integers(3, 7),
+    "reps": st.integers(1, 3),
+    "isi_s": st.sampled_from([0.1, 0.133, 0.2, 0.0625]) | st.floats(0.01, 0.5),
+    "gap_s": st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+    "n_targets": st.integers(1, 3),
+    "seed": st.integers(0, 2**32 - 1),
+    "fs_hz": st.sampled_from([250.0, 2000.0]),
+})
+
+
+@given(SCHEDULES)
+@SETTINGS
+def test_schedule_round_trip(tmp_path_factory, spec):
+    n = spec["n"]
+    targets = [(1 + i % n, 1 + (3 * i) % n) for i in range(spec["n_targets"])]
+    if spec["paradigm"] == "cp300":
+        make, pattern = make_cp300_schedule, make_rc_pattern(n)
+    else:
+        make, pattern = make_xp300_schedule, make_constrained_pattern(n)
+    events = make(pattern, spec["reps"], spec["isi_s"], targets, seed=spec["seed"],
+                  inter_char_gap_s=spec["gap_s"]).events
+    n_samples = math.ceil(float(events.onset_s.max()) * spec["fs_hz"]) + 1
+    rec = Recording(fs_hz=spec["fs_hz"], samples=np.zeros((n_samples, 1), np.float32),
+                    channel_names=("Cz",), events=events)
+    path = tmp_path_factory.mktemp("bundle")
+    write_session(rec, path)
+    canonical = session_io._read_canonical_events(path / "events.jsonl", pattern)
+    assert canonical == events
+    assert canonical == session_io._read_event_lines(path / "events.jsonl", pattern)
+    assert read_session(path).events == events
+    assert events_jsonl(canonical) == (path / "events.jsonl").read_text()
+
+
+@st.composite
+def event_tables(draw):
+    pattern = make_constrained_pattern(draw(st.integers(3, 5)))
+    size = draw(st.integers(0, 30))
+    integers = st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size)
+    blocks = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size))
+    flash_ids = [0 if block < 0 else draw(st.integers(1, pattern.n)) for block in blocks]
+    return Events(
+        pattern,
+        onset_s=draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=size, max_size=size)),
+        slot=draw(integers),
+        char_index=draw(integers),
+        repetition=draw(integers),
+        block=blocks,
+        flash_id=flash_ids,
+        is_target=draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+    )
+
+
+@given(event_tables())
+@SETTINGS
+def test_any_event_table_round_trip(tmp_path_factory, events):
+    """Any finite onsets and any int64 counters survive the canonical pass as
+    they survive ``json.loads``."""
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    path.write_text(events_jsonl(events))
+    canonical = session_io._read_canonical_events(path, events.pattern)
+    assert canonical == events
+    assert canonical == session_io._read_event_lines(path, events.pattern)

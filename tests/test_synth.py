@@ -202,3 +202,27 @@ class TestChanceLevel:
         assert total_epochs >= 2000
         mean_auc = (result.auc + swapped.auc) / 2
         assert mean_auc == pytest.approx(0.5, abs=0.05)
+
+
+class TestBackground:
+    @pytest.mark.parametrize("fs_hz, alpha_amp_uv", [(250.0, 0.0), (250.0, 2.0), (2000.0, 2.0)])
+    def test_same_bytes_as_time_major_filter(self, schedule, monkeypatch, fs_hz, alpha_amp_uv):
+        """The AR(1) background filters each channel's contiguous row; the
+        samples are those of the former call, which filtered the T x C
+        matrix along time and added the result to zeros."""
+        from scipy import signal
+
+        noise = NoiseModel(background_sigma_uv=1.5, ar_coeff=0.9, alpha_amp_uv=alpha_amp_uv)
+        rec = synthesize_session(schedule, noise=noise, fs_hz=fs_hz, seed=11)
+        lfilter = signal.lfilter
+
+        def time_major(b, a, by_channel, axis):
+            assert axis == 1 and by_channel.flags.c_contiguous
+            data = np.zeros(by_channel.T.shape)
+            data += lfilter(b, a, np.ascontiguousarray(by_channel.T), axis=0)
+            return data.T
+
+        monkeypatch.setattr(signal, "lfilter", time_major)
+        former = synthesize_session(schedule, noise=noise, fs_hz=fs_hz, seed=11)
+        assert rec.samples.flags.c_contiguous and rec.samples.dtype == np.float32
+        assert rec.samples.tobytes() == former.samples.tobytes()
