@@ -6,7 +6,8 @@ A bundle is a directory of three files:
   a ``meta`` block (``pipeline.schedule_meta``, the events' flash
   ``pattern`` and free-form provenance).
 * ``signal.f32`` -- little-endian IEEE-754 float32, sample-major: all
-  channels of sample 0, then sample 1, and so on.
+  channels of sample 0, then sample 1, and so on.  It is mapped read-only,
+  not copied.
 * ``events.jsonl`` -- one stimulus-event object per line, streamable; a
   flash's ``cells`` are written from the pattern and checked against it.
   The writer's canonical line is compact JSON with sorted keys, e.g.
@@ -16,13 +17,16 @@ A bundle is a directory of three files:
   any other valid JSON spelling is read line by line, with the same checks.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
-identical inputs; reads verify the version, that the signal size matches
-the manifest, and every event line.
+identical inputs; reads verify that each file is a regular file, the
+version, that the signal size matches the manifest, and every event line.
+A bundle file must be replaced by rename, never rewritten in place, while
+a command reads it: truncating the mapped signal in place raises SIGBUS.
 """
 
 import json
 import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +134,19 @@ def _key_texts(pattern: FlashPattern) -> dict:
     return texts
 
 
+def _regular_file_size(path: Path) -> int:
+    """The size of a bundle file; anything but a regular file is a BundleError
+    (opening a FIFO would wait for a writer forever)."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise BundleError(f"{path}: not a regular file")
+    return info.st_size
+
+
 def read_manifest(path) -> dict:
     path = Path(path)
     try:
+        _regular_file_size(path / MANIFEST_NAME)
         manifest = json.loads((path / MANIFEST_NAME).read_text())
     except FileNotFoundError:
         raise BundleError(f"no {MANIFEST_NAME} in {path}") from None
@@ -168,14 +182,16 @@ def read_session(path) -> Recording:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: no usable meta.pattern ({exc})") from exc
 
-    raw = (path / SIGNAL_NAME).read_bytes()
+    size = _regular_file_size(path / SIGNAL_NAME)
     expected = n_samples * n_channels * 4
-    if len(raw) != expected:
+    if size != expected:
         raise BundleError(
-            f"{path / SIGNAL_NAME}: {len(raw)} bytes, but the manifest implies {expected} "
+            f"{path / SIGNAL_NAME}: {size} bytes, but the manifest implies {expected} "
             f"({n_samples} samples x {n_channels} channels x 4)"
         )
-    samples = np.frombuffer(raw, dtype="<f4").reshape(n_samples, n_channels)
+    # mapped, not copied: the filter reads its row blocks from the page cache
+    samples = np.memmap(path / SIGNAL_NAME, dtype="<f4", mode="r", shape=(n_samples, n_channels))
+    _regular_file_size(path / EVENTS_NAME)
     events = _read_events(path / EVENTS_NAME, pattern)
     try:
         return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)

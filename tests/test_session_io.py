@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p300speller import session_io
+from p300speller import pipeline, session_io
 from p300speller.cli import main
 from p300speller.dsp import Recording
 from p300speller.errors import BundleError
@@ -142,6 +148,110 @@ class TestReadErrors:
         (tmp_path / "empty").mkdir()
         with pytest.raises(BundleError, match="manifest"):
             read_session(tmp_path / "empty")
+
+    @pytest.mark.parametrize("name", ["manifest.json", "signal.f32", "events.jsonl"])
+    def test_directory_is_not_a_regular_file(self, tmp_path, recording, name):
+        write_session(recording, tmp_path / "s")
+        (tmp_path / "s" / name).unlink()
+        (tmp_path / "s" / name).mkdir()
+        with pytest.raises(BundleError, match=f"{name}: not a regular file"):
+            read_session(tmp_path / "s")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("name", ["manifest.json", "signal.f32", "events.jsonl"])
+    def test_fifo_exits_3_without_waiting(self, tmp_path, recording, name):
+        """Opening a FIFO for reading waits for a writer, so the check comes
+        before the open; the CLI runs in a child so a wait fails the test."""
+        write_session(recording, tmp_path / "s")
+        (tmp_path / "s" / name).unlink()
+        os.mkfifo(tmp_path / "s" / name)
+        src = str(Path(session_io.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "p300speller.cli", "train", "--session", str(tmp_path / "s"),
+             "--out", str(tmp_path / "m")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"{name}: not a regular file" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def wide_bundle(tmp_path_factory):
+    """A 64-channel x 200k-sample bundle (51.2 MB of signal) and its recording."""
+    pat = make_constrained_pattern(6)
+    events = make_xp300_schedule(pat, reps=1, isi_s=0.133, targets=[(2, 3)], seed=3).events
+    samples = np.random.default_rng(3).standard_normal((200_000, 64), dtype=np.float32)
+    rec = Recording(fs_hz=2000.0, samples=samples, events=events,
+                    channel_names=tuple(f"E{i}" for i in range(64)))
+    path = tmp_path_factory.mktemp("wide") / "s"
+    write_session(rec, path)
+    return path, rec
+
+
+def _maps(path) -> bool:
+    """Whether this process maps ``path``."""
+    with open("/proc/self/maps") as fh:
+        return os.path.realpath(path) in fh.read()
+
+
+class TestMappedSignal:
+    """read_session maps signal.f32 read-only and copies none of it."""
+
+    def test_read_copies_no_signal(self, wide_bundle):
+        path, _ = wide_bundle
+        tracemalloc.start()
+        try:
+            rec = read_session(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # the signal alone is 51.2 MB
+        assert not rec.samples.flags.writeable
+
+    def test_preprocess_same_bytes_as_in_memory(self, wide_bundle):
+        path, written = wide_bundle
+        cfg = pipeline.PipelineConfig()
+        mapped = pipeline.preprocess(read_session(path), cfg)
+        resident = pipeline.preprocess(written, cfg)
+        assert mapped.samples.tobytes() == resident.samples.tobytes()
+
+    def test_own_writers_leave_a_mapped_read_alone(self, tmp_path, recording):
+        """write_session replaces each file by rename, so a reader's mapping
+        keeps the old file; a rewrite in place would change its samples, or
+        raise SIGBUS once the file is shorter than the mapping."""
+        path = tmp_path / "s"
+        write_session(recording, path)
+        rec = read_session(path)
+        cfg = pipeline.PipelineConfig()
+        filtered = pipeline.preprocess(rec, cfg).samples.tobytes()
+        other = Recording(fs_hz=recording.fs_hz, samples=np.ones((100, 8), np.float32),
+                          events=recording.events[:0])
+        write_session(other, path)
+        assert read_session(path).n_samples == 100
+        assert np.array_equal(rec.samples, recording.samples)
+        shutil.rmtree(path)
+        assert np.array_equal(rec.samples, recording.samples)
+        assert pipeline.preprocess(rec, cfg).samples.tobytes() == filtered
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+    def test_commands_release_the_mapping(self, tmp_path):
+        """In-process commands unmap what they read: the benchmark runs
+        hundreds of them in one process."""
+        for name, seed in (("a", "1"), ("b", "2")):
+            assert main(["simulate", "--out", str(tmp_path / name), "--seed", seed, "--reps", "3",
+                         "--targets", "ABCDEF"]) == 0
+        signal = tmp_path / "a" / "signal.f32"
+        rec = read_session(tmp_path / "a")
+        assert _maps(signal)  # the check can see a mapping
+        del rec
+        assert not _maps(signal)
+        assert main(["train", "--session", str(tmp_path / "a"), "--out", str(tmp_path / "m")]) == 0
+        assert not _maps(signal)
+        assert main(["eval", "--train-session", str(tmp_path / "a"), "--test-session",
+                     str(tmp_path / "b"), "--out", str(tmp_path / "e"), "--swap"]) == 0
+        assert not _maps(signal) and not _maps(tmp_path / "b" / "signal.f32")
 
 
 class TestFormatPinned:
