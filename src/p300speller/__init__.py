@@ -2,7 +2,7 @@
 synthetic EEG, and the offline decoding chain."""
 
 from .blda import BldaModel, fit_blda, score
-from .decoder import CharDecision, accuracy_by_repetition, decode_characters
+from .decoder import Decisions, accuracy_by_repetition, decode_characters
 from .dsp import (
     DEFAULT_CHANNELS,
     EpochSet,
@@ -24,7 +24,7 @@ from .patterns import (
     make_constrained_pattern,
     make_permuted_pattern,
     make_rc_pattern,
-    pair_to_cell,
+    pair_table,
     validate_pattern,
 )
 from .pipeline import EvalResult, PipelineConfig, evaluate, preprocess, train_models

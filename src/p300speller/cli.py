@@ -91,8 +91,7 @@ def load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config is not None:
         try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
+            raw = json.loads(session_io.read_text(args.config))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
         if not isinstance(raw, dict):
@@ -150,18 +149,17 @@ def cmd_pattern(args) -> int:
 def _build_pattern(kind: str, n: int, seed: int | None) -> patterns.FlashPattern:
     if kind == "rc":
         return patterns.make_rc_pattern(n)
-    if kind == "constrained" and n < 3:
-        raise ValidationError(f"constrained construction needs n >= 3 (got {n})")
-    if seed is None:
+    rng = None if seed is None else np.random.default_rng(seed)
+    if kind == "constrained":
+        # the maker checks n before it draws pi_r, then pi_c (identity without a seed)
+        pattern = patterns.make_constrained_pattern(n, rng=rng)
+    elif kind != "permuted":
+        raise ValidationError(f"unknown pattern kind {kind!r}")
+    if rng is None:
         raise ValidationError(f"--seed is required for kind {kind!r}")
-    rng = np.random.default_rng(seed)
     if kind == "permuted":
         return patterns.make_permuted_pattern(n, rng.permutation(n * n) + 1)
-    if kind == "constrained":
-        pi_r = rng.permutation(n) + 1
-        pi_c = rng.permutation(n) + 1
-        return patterns.make_constrained_pattern(n, pi_r, pi_c)
-    raise ValidationError(f"unknown pattern kind {kind!r}")
+    return pattern
 
 
 def cmd_simulate(args) -> int:
@@ -349,9 +347,9 @@ def cmd_report(args) -> int:
 def _read_eval_dir(path) -> dict:
     path = Path(path)
     try:
-        lines = (path / "metrics.csv").read_text().strip().splitlines()
+        lines = session_io.read_text(path / "metrics.csv").strip().splitlines()
         accuracies = [float(line.split(",")[1]) for line in lines[1:]]
-        summary = (path / "summary.txt").read_text()
+        summary = session_io.read_text(path / "summary.txt")
     except FileNotFoundError as exc:
         raise BundleError(f"{path}: not an eval output directory ({exc})") from None
     auc = None

@@ -6,7 +6,9 @@ use literal rows and columns, so a whole line of neighbouring symbols
 lights up at once.  The constrained construction here cyclically shifts
 the index rows instead: a cell is still uniquely identified by its
 (row-flash, column-flash) pair, but no two horizontally or vertically
-adjacent cells are ever lit by the same flash.
+adjacent cells are ever lit by the same flash.  ``pair_table`` inverts
+that pair map, checking once that it is a bijection; the decoder reads its
+selections from the table.
 
 All grid coordinates and flash indices are 1-based.
 """
@@ -39,8 +41,9 @@ class SpellerMatrix:
         if len(set(flat)) != self.n * self.n:
             raise ValidationError("symbols are not all distinct")
 
-    def symbol_at(self, row: int, col: int) -> str:
-        return self.symbols[row - 1][col - 1]
+    def symbol_at(self, row, col):
+        """The symbol at cell (row, col); arrays of rows and columns give an array."""
+        return np.array(self.symbols)[np.asarray(row) - 1, np.asarray(col) - 1]
 
     def locate(self, symbol: str) -> tuple[int, int]:
         """Return the (row, col) cell displaying ``symbol``."""
@@ -152,34 +155,34 @@ def make_permuted_pattern(n: int, v) -> FlashPattern:
     return FlashPattern(n=n, kind="permuted", r_hat=r_hat, c_hat=c_hat)
 
 
-def make_constrained_pattern(n: int, pi_r=None, pi_c=None) -> FlashPattern:
+def make_constrained_pattern(n: int, pi_r=None, pi_c=None, rng=None) -> FlashPattern:
     """Cyclic-shift pattern with no flash on two 4-adjacent cells.
 
     Row labels shift by one per grid row, column labels by two, so
     horizontally and vertically neighbouring cells always carry different
     flash indices in both matrices while the pair map stays bijective
     (the cell map (i, j) -> (j - i, j - 2i) mod n is unimodular).
-    ``pi_r`` / ``pi_c`` relabel the first row of each matrix; identity
-    when omitted.
+    ``pi_r`` / ``pi_c`` relabel the first row of each matrix; when omitted
+    they are drawn from ``rng`` (``pi_r`` first), or are the identity.
 
-    The column-label shift of two needs 2 mod n != 0, hence n >= 3.
+    The column-label shift of two needs 2 mod n != 0, hence n >= 3, checked first.
     """
     if n < 3:
         raise ValidationError(
             f"constrained construction needs n >= 3 (got {n}): the vertical "
             "spacing of the column labels degenerates when 2 mod n == 0"
         )
-    pi_r = _as_permutation(n, pi_r, "pi_r")
-    pi_c = _as_permutation(n, pi_c, "pi_c")
+    pi_r = _as_permutation(n, pi_r, "pi_r", rng)
+    pi_c = _as_permutation(n, pi_c, "pi_c", rng)
     i0, j0 = np.indices((n, n))
     r_hat = pi_r[(j0 - i0) % n]
     c_hat = pi_c[(j0 - 2 * i0) % n]
     return FlashPattern(n=n, kind="constrained", r_hat=r_hat, c_hat=c_hat)
 
 
-def _as_permutation(n: int, pi, name: str) -> np.ndarray:
+def _as_permutation(n: int, pi, name: str, rng) -> np.ndarray:
     if pi is None:
-        return np.arange(1, n + 1)
+        return np.arange(1, n + 1) if rng is None else rng.permutation(n) + 1
     pi = np.asarray(pi, dtype=int)
     if pi.shape != (n,) or not np.array_equal(np.sort(pi), np.arange(1, n + 1)):
         raise ValidationError(f"{name} is not a permutation of 1..{n}")
@@ -193,18 +196,10 @@ def validate_pattern(p: FlashPattern) -> PatternReport:
     pairs of horizontally or vertically neighbouring cells that share a
     flash index (diagonals do not count).
     """
-    n = p.n
-    for m in (p.r_hat, p.c_hat):
-        if m.min() < 1 or m.max() > n:
-            raise ValidationError("pattern entries must lie in 1..n")
-    balanced = all(
-        np.array_equal(np.bincount(m.ravel(), minlength=n + 1)[1:], np.full(n, n))
-        for m in (p.r_hat, p.c_hat)
-    )
-    pairs = {(int(r), int(c)) for r, c in zip(p.r_hat.ravel(), p.c_hat.ravel())}
+    counts = _pair_counts(p)  # each row-block flash is a row, each column-block one a column
     return PatternReport(
-        pair_bijective=len(pairs) == n * n,
-        balanced=balanced,
+        pair_bijective=bool(np.all(counts == 1)),
+        balanced=bool(np.all(counts.sum(axis=0) == p.n) and np.all(counts.sum(axis=1) == p.n)),
         r_contiguity_violations=_adjacency_collisions(p.r_hat),
         c_contiguity_violations=_adjacency_collisions(p.c_hat),
     )
@@ -227,15 +222,25 @@ def cells_for_flash(p: FlashPattern, block: str, f: int) -> set[tuple[int, int]]
     return {(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)}
 
 
-def pair_to_cell(p: FlashPattern, f_r: int, f_c: int) -> tuple[int, int]:
-    """The unique cell lit by row-block flash ``f_r`` and column-block flash ``f_c``."""
-    for f in (f_r, f_c):
-        if not 1 <= f <= p.n:
-            raise ValidationError(f"flash index {f} outside 1..{p.n}")
-    rows, cols = np.nonzero((p.r_hat == f_r) & (p.c_hat == f_c))
-    if len(rows) != 1:
-        raise ValidationError(
-            f"pattern pair map is not bijective: couple ({f_r}, {f_c}) "
-            f"occurs {len(rows)} times"
-        )
-    return (int(rows[0]) + 1, int(cols[0]) + 1)
+def pair_table(p: FlashPattern) -> np.ndarray:
+    """The pair map's inverse, shape (n, n, 2): ``table[f_r - 1, f_c - 1]`` is
+    the (row, col) of the one cell lit by row-block flash ``f_r`` and
+    column-block flash ``f_c``.  The one check that every such couple lights
+    exactly one cell."""
+    counts = _pair_counts(p)
+    if np.any(counts != 1):
+        f_r, f_c = np.argwhere(counts != 1)[0]
+        raise ValidationError(f"pattern pair map is not bijective: couple ({f_r + 1}, "
+                              f"{f_c + 1}) occurs {counts[f_r, f_c]} times")
+    table = np.empty((p.n, p.n, 2), dtype=int)
+    table[p.r_hat - 1, p.c_hat - 1] = np.moveaxis(np.indices((p.n, p.n)) + 1, 0, -1)
+    return table
+
+
+def _pair_counts(p: FlashPattern) -> np.ndarray:
+    """Cells lit per (row-block flash, column-block flash) couple; entries must lie in 1..n."""
+    n = p.n
+    for m in (p.r_hat, p.c_hat):
+        if m.min() < 1 or m.max() > n:
+            raise ValidationError("pattern entries must lie in 1..n")
+    return np.bincount(((p.r_hat - 1) * n + p.c_hat - 1).ravel(), minlength=n * n).reshape(n, n)

@@ -5,7 +5,7 @@ Everything here is deterministic given its inputs; the functions exist so
 the CLI and the test suite drive the exact same code.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class EvalResult:
     roc: metrics.RocCurve
     auc: float
     n_f: int  # spatial components fitted, at most the configured n_f
-    decisions: list = field(default_factory=list)
+    decisions: decoder.Decisions
 
 
 def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:

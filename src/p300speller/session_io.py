@@ -33,7 +33,7 @@ import numpy as np
 
 from .dsp import Recording
 from .errors import BundleError, ValidationError
-from .patterns import FlashPattern, cells_for_flash
+from .patterns import FlashPattern, cells_for_flash, pair_table
 from .scheduler import BLOCKS, COLUMNS, FLASH, PAUSE, Events
 
 FORMAT_VERSION = 1
@@ -135,7 +135,7 @@ def _key_texts(pattern: FlashPattern) -> dict:
 
 
 def _regular_file_size(path: Path) -> int:
-    """The size of a bundle file; anything but a regular file is a BundleError
+    """The size of an input file; anything but a regular file is a BundleError
     (opening a FIFO would wait for a writer forever)."""
     info = os.stat(path)
     if not stat.S_ISREG(info.st_mode):
@@ -143,11 +143,16 @@ def _regular_file_size(path: Path) -> int:
     return info.st_size
 
 
+def read_text(path) -> str:
+    """The text of an input file, which must be a regular file."""
+    _regular_file_size(path)
+    return Path(path).read_text()
+
+
 def read_manifest(path) -> dict:
     path = Path(path)
     try:
-        _regular_file_size(path / MANIFEST_NAME)
-        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        manifest = json.loads(read_text(path / MANIFEST_NAME))
     except FileNotFoundError:
         raise BundleError(f"no {MANIFEST_NAME} in {path}") from None
     except json.JSONDecodeError as exc:
@@ -179,6 +184,7 @@ def read_session(path) -> Recording:
         raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
     try:
         pattern = FlashPattern.from_json(manifest["meta"]["pattern"])
+        pair_table(pattern)  # entries in 1..n, and each couple of flashes lights one cell
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: no usable meta.pattern ({exc})") from exc
 
@@ -191,7 +197,6 @@ def read_session(path) -> Recording:
         )
     # mapped, not copied: the filter reads its row blocks from the page cache
     samples = np.memmap(path / SIGNAL_NAME, dtype="<f4", mode="r", shape=(n_samples, n_channels))
-    _regular_file_size(path / EVENTS_NAME)
     events = _read_events(path / EVENTS_NAME, pattern)
     try:
         return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
@@ -211,7 +216,7 @@ def _read_canonical_events(path: Path, pattern: FlashPattern) -> Events | None:
     the pattern and a finite onset; None for any other file.  A file that is
     not text is a BundleError."""
     try:
-        text = path.read_text()
+        text = read_text(path)
     except UnicodeDecodeError as exc:
         raise BundleError(f"{path}: {exc}") from exc
     rows = re.findall(_CANONICAL_LINE, text, re.MULTILINE | re.ASCII)

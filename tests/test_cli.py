@@ -11,7 +11,9 @@ import pytest
 from p300speller import pipeline
 from p300speller.cli import main
 from p300speller.metrics import itr_bpm
-from p300speller.session_io import read_manifest
+from p300speller.patterns import FlashPattern, make_constrained_pattern
+from p300speller.scheduler import COLUMNS, Events
+from p300speller.session_io import events_jsonl, read_manifest, read_session
 
 FAST_SIM = ["--reps", "3", "--targets", "ABCDEF"]
 
@@ -46,6 +48,21 @@ class TestPattern:
         code, _, err = run(["pattern", "--kind", "constrained", "--n", "2"], capsys)
         assert code == 2
         assert "n >= 3" in err
+
+    @pytest.mark.parametrize("n", [-1, 0, 2])
+    def test_small_constrained_n_with_seed_exits_2(self, capsys, n):
+        code, _, err = run(["pattern", "--kind", "constrained", "--n", str(n), "--seed", "1"],
+                           capsys)
+        assert code == 2
+        assert err.startswith(f"error: constrained construction needs n >= 3 (got {n})")
+        assert "Traceback" not in err
+
+    def test_constrained_draws_pi_r_then_pi_c(self, capsys):
+        code, out, _ = run(["pattern", "--kind", "constrained", "--n", "6", "--seed", "3"], capsys)
+        rng = np.random.default_rng(3)
+        expected = make_constrained_pattern(6, rng.permutation(6) + 1, rng.permutation(6) + 1)
+        assert code == 0
+        assert json.loads(out) == expected.to_json()
 
     def test_out_file(self, tmp_path, capsys):
         out_file = tmp_path / "p.json"
@@ -511,6 +528,20 @@ def _set_onset(index, value):
     return change
 
 
+def _repattern(edit):
+    """Edit meta.pattern and write events.jsonl from the edited pattern, so the
+    events agree with it and only the pattern itself is unusable."""
+    def change(bundle):
+        events = read_session(bundle).events
+        pattern = events.pattern.to_json()
+        edit(pattern)
+        columns = [getattr(events, name) for name in COLUMNS]
+        (bundle / "events.jsonl").write_text(
+            events_jsonl(Events(FlashPattern.from_json(pattern), *columns)))
+        _set("meta", "pattern", pattern)(bundle)
+    return change
+
+
 def _write_events(path, events):
     """Write event objects in the writer's compact, key-sorted line form, so
     that a corrupt line reaches the one-pass reader of canonical lines."""
@@ -587,6 +618,29 @@ class TestCorruptBundles:
         assert code == 3
         assert err.startswith("i/o error: ") and message in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda pattern: pattern.update(c_hat=pattern["r_hat"]),
+             "pattern pair map is not bijective: couple (1, 1) occurs 6 times"),
+            (lambda pattern: pattern["r_hat"][2].__setitem__(3, 99),
+             "pattern entries must lie in 1..n"),
+        ],
+        ids=["c_hat-is-r_hat", "r_hat-entry-99"],
+    )
+    def test_bad_pattern_exits_3(self, session_pair, tmp_path, capsys, edit, reason, command):
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        _repattern(edit)(tmp_path / "b")
+        if command == "train":
+            argv = ["train", "--session", str(tmp_path / "b"), "--out", str(tmp_path / "m")]
+        else:
+            argv = eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e")
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert err.startswith("i/o error: ") and "Traceback" not in err
+        assert f"manifest.json: no usable meta.pattern ({reason})" in err
+
     def test_meta_n_is_provenance_only(self, session_pair, tmp_path, capsys):
         shutil.copytree(session_pair / "b", tmp_path / "b")
         _drop("meta", "n")(tmp_path / "b")
@@ -660,3 +714,37 @@ class TestReport:
         )
         assert code == 4
         assert "zero variance" in err
+
+
+def run_child(argv):
+    """The CLI in a child process: opening a FIFO for reading waits for a
+    writer, so a wait fails the test at the timeout instead of hanging it."""
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "p300speller.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+class TestFifoInputs:
+    def test_config_fifo_exits_3_without_waiting(self, tmp_path):
+        os.mkfifo(tmp_path / "cfg.json")
+        proc = run_child(["simulate", "--out", str(tmp_path / "s"), "--seed", "1",
+                          "--config", str(tmp_path / "cfg.json")])
+        assert proc.returncode == 3, proc.stderr
+        assert f"{tmp_path / 'cfg.json'}: not a regular file" in proc.stderr
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "summary.txt"])
+    def test_report_input_fifo_exits_3_without_waiting(self, tmp_path, name):
+        d = tmp_path / "e"
+        d.mkdir()
+        (d / "metrics.csv").write_text("k,accuracy,itr_bpm\n1,0.5,0.0\n")
+        (d / "summary.txt").write_text("auc=0.8\n")
+        (d / name).unlink()
+        os.mkfifo(d / name)
+        proc = run_child(["report", "--cp300", str(d), "--xp300", str(d),
+                          "--out", str(tmp_path / "rep")])
+        assert proc.returncode == 3, proc.stderr
+        assert f"{d / name}: not a regular file" in proc.stderr

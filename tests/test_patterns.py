@@ -10,7 +10,7 @@ from p300speller.patterns import (
     make_constrained_pattern,
     make_permuted_pattern,
     make_rc_pattern,
-    pair_to_cell,
+    pair_table,
     validate_pattern,
 )
 
@@ -117,6 +117,20 @@ class TestConstrainedPattern:
         with pytest.raises(ValidationError, match="n >= 3"):
             make_constrained_pattern(2)
 
+    def test_rng_draws_pi_r_then_pi_c(self):
+        drawn = make_constrained_pattern(6, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        given = make_constrained_pattern(6, rng.permutation(6) + 1, rng.permutation(6) + 1)
+        assert drawn.to_json() == given.to_json()
+
+    @pytest.mark.parametrize("n", [-1, 0, 2])
+    def test_small_n_rejected_before_any_draw(self, n):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="n >= 3"):
+            make_constrained_pattern(n, rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_random_labels_always_clean(self):
         rng = np.random.default_rng(0)
         for n in range(3, 13):
@@ -180,14 +194,17 @@ class TestCellsForFlash:
 
 
 class TestPairToCell:
+    """``pair_table[f_r - 1, f_c - 1]`` is the cell lit by both flashes."""
+
     def test_classical_intersection(self):
         p = make_rc_pattern(6)
-        assert pair_to_cell(p, 2, 5) == (2, 5)
+        assert pair_table(p)[2 - 1, 5 - 1].tolist() == [2, 5]
 
     def test_reference_pattern_examples(self):
-        p = make_constrained_pattern(6)
-        assert pair_to_cell(p, 6, 5) == (2, 1)
-        assert pair_to_cell(p, 1, 1) == (1, 1)
+        table = pair_table(make_constrained_pattern(6))
+        assert table.shape == (6, 6, 2)
+        assert table[6 - 1, 5 - 1].tolist() == [2, 1]
+        assert table[1 - 1, 1 - 1].tolist() == [1, 1]
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(11)
@@ -198,16 +215,31 @@ class TestPairToCell:
         ):
             for n in (3, 6):
                 p = maker(n)
+                table = pair_table(p)
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
-                        pair = (int(p.r_hat[i - 1, j - 1]), int(p.c_hat[i - 1, j - 1]))
-                        assert pair_to_cell(p, *pair) == (i, j)
+                        f_r, f_c = int(p.r_hat[i - 1, j - 1]), int(p.c_hat[i - 1, j - 1])
+                        assert table[f_r - 1, f_c - 1].tolist() == [i, j]
 
     def test_ambiguous_pattern(self):
         p = FlashPattern(n=2, kind="permuted", r_hat=np.ones((2, 2), int),
                          c_hat=np.ones((2, 2), int))
         with pytest.raises(ValidationError, match="bijective"):
-            pair_to_cell(p, 1, 1)
+            pair_table(p)
+
+    def test_names_the_first_bad_couple(self):
+        rc = make_rc_pattern(6)
+        p = FlashPattern(n=6, kind="permuted", r_hat=rc.r_hat, c_hat=rc.r_hat)
+        with pytest.raises(ValidationError, match=r"couple \(1, 1\) occurs 6 times"):
+            pair_table(p)
+        assert not validate_pattern(p).pair_bijective
+
+    def test_out_of_range_entry(self):
+        r_hat = make_rc_pattern(6).r_hat.copy()
+        r_hat[2, 3] = 99
+        p = FlashPattern(n=6, kind="classical", r_hat=r_hat, c_hat=make_rc_pattern(6).c_hat)
+        with pytest.raises(ValidationError, match="1..n"):
+            pair_table(p)
 
 
 class TestSerialization:
