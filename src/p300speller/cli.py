@@ -94,6 +94,8 @@ def load_config(args) -> RunConfig:
             raw = json.loads(session_io.read_text(args.config))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{args.config}: {_not_utf8(exc)}") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
         _apply_section(cfg, raw, args.config)
@@ -346,19 +348,46 @@ def cmd_report(args) -> int:
 
 def _read_eval_dir(path) -> dict:
     path = Path(path)
+    metrics_csv, summary_txt = path / "metrics.csv", path / "summary.txt"
     try:
-        lines = session_io.read_text(path / "metrics.csv").strip().splitlines()
-        accuracies = [float(line.split(",")[1]) for line in lines[1:]]
-        summary = session_io.read_text(path / "summary.txt")
+        rows = _numbered_lines(metrics_csv)[1:]  # after the header
+        summary = _numbered_lines(summary_txt)
     except FileNotFoundError as exc:
         raise BundleError(f"{path}: not an eval output directory ({exc})") from None
+    accuracies = []
+    for lineno, line in rows:
+        fields = line.split(",")
+        if len(fields) < 2:
+            raise BundleError(f"{metrics_csv}:{lineno}: no accuracy field in {line!r}")
+        accuracies.append(_number(metrics_csv, lineno, fields[1]))
     auc = None
-    for line in summary.splitlines():
+    for lineno, line in summary:
         if line.startswith("auc="):
-            auc = float(line.split("=", 1)[1])
+            auc = _number(summary_txt, lineno, line.split("=", 1)[1])
     if auc is None or not accuracies:
         raise BundleError(f"{path}: missing auc or accuracy values")
     return {"mean_acc": float(np.mean(accuracies)), "auc": auc}
+
+
+def _numbered_lines(path: Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, each with its 1-based line number."""
+    try:
+        text = session_io.read_text(path)
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: {_not_utf8(exc)}") from None
+    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _number(path: Path, lineno: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise BundleError(f"{path}:{lineno}: {text!r} is not a number") from None
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    line = exc.object[: exc.start].count(b"\n") + 1
+    return f"not UTF-8 text at line {line} ({exc.reason} at byte {exc.start})"
 
 
 # ---------------------------------------------------------------- parser

@@ -144,9 +144,9 @@ def _regular_file_size(path: Path) -> int:
 
 
 def read_text(path) -> str:
-    """The text of an input file, which must be a regular file."""
+    """The UTF-8 text of an input file, which must be a regular file."""
     _regular_file_size(path)
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def read_manifest(path) -> dict:

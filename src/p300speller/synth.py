@@ -7,6 +7,13 @@ interval attenuates the response through a piecewise-linear gain,
 emulating the attentional-blink penalty that makes rapid double flashes
 hard to detect; that is what separates the two paradigms downstream.
 
+The background is rendered straight into one sample-major float64 array
+in blocks of ``_ROWS`` rows: each block draws its innovations in the
+order of one (samples, channels) draw, and the AR(1) filter state carries
+from block to block, so the samples are the bytes of one whole-array draw
+and filter.  Each response product (template kernel times gain, outer
+topography) is built once per distinct gain and added where it lands.
+
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
 """
@@ -18,6 +25,8 @@ import numpy as np
 from .dsp import DEFAULT_CHANNELS, Recording
 from .errors import ValidationError
 from .scheduler import Schedule
+
+_ROWS = 4096  # background rows per block: 256 KiB at 8 channels, so a block stays in cache
 
 
 @dataclass
@@ -155,15 +164,21 @@ def synthesize_session(
     n_samples = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
     n_ch = len(channels)
 
+    data = np.zeros((n_samples, n_ch))
     if noise.background_sigma_uv > 0:
         from scipy import signal  # here, so that train and eval import no scipy
 
-        # filter each channel's contiguous row, not the strided columns of the T x C draw
-        innovations = rng.standard_normal((n_samples, n_ch)).T.copy()
-        innovations *= noise.background_sigma_uv
-        data = signal.lfilter([1.0], [1.0, -noise.ar_coeff], innovations, axis=1).T
-    else:
-        data = np.zeros((n_samples, n_ch))
+        # row blocks in the order of one (n_samples, n_ch) draw, the AR(1)
+        # state carried from each block to the next
+        block = np.empty((min(_ROWS, n_samples), n_ch))
+        state = np.zeros((1, n_ch))
+        for r0 in range(0, n_samples, _ROWS):
+            innovations = block[: min(_ROWS, n_samples - r0)]
+            rng.standard_normal(out=innovations)
+            innovations *= noise.background_sigma_uv
+            data[r0 : r0 + len(innovations)], state = signal.lfilter(
+                [1.0], [1.0, -noise.ar_coeff], innovations, axis=0, zi=state
+            )
     if noise.alpha_amp_uv > 0:
         phases = rng.uniform(0.0, 2 * np.pi, n_ch)
         t = np.arange(n_samples)[:, None] / fs_hz
@@ -174,28 +189,33 @@ def synthesize_session(
     jitters = rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
     starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
     kernels = [tpl.waveform(fs_hz) for tpl in templates]
-    visual_kernels = [tpl.waveform(fs_hz) for tpl in (visual_templates or [])]
     ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
     gains = iter([1.0] + [blink.gain(tti) if blink is not None else 1.0 for tti in ttis])
 
+    responses = {}  # gain -> each template's response at that gain, built once
+    visual = [np.outer(tpl.waveform(fs_hz), tpl.topography) for tpl in visual_templates or []]
     for start, is_target in zip(starts.tolist(), flashes.is_target.tolist()):
         if is_target:
             gain = next(gains)
-            for tpl, kernel in zip(templates, kernels):
-                _add_response(data, start, kernel * gain, tpl.topography)
-        for tpl, kernel in zip(visual_templates or [], visual_kernels):
-            _add_response(data, start, kernel, tpl.topography)
+            if gain not in responses:
+                responses[gain] = [
+                    np.outer(kernel * gain, tpl.topography) for tpl, kernel in zip(templates, kernels)
+                ]
+            for response in responses[gain]:
+                _add_response(data, start, response)
+        for response in visual:
+            _add_response(data, start, response)
 
     return Recording(
         fs_hz=fs_hz,
-        samples=data.astype(np.float32, order="C"),
+        samples=data.astype(np.float32),
         channel_names=channels,
         events=schedule.events,
     )
 
 
-def _add_response(data, start, kernel, topography):
-    stop = min(start + len(kernel), data.shape[0])
+def _add_response(data, start, response):
+    stop = min(start + len(response), data.shape[0])
     if start >= stop or start < 0:
         return
-    data[start:stop] += np.outer(kernel[: stop - start], topography)
+    data[start:stop] += response[: stop - start]

@@ -119,6 +119,21 @@ class TestSimulate:
         assert code == 2
         assert "unknown_knob" in err
 
+    @pytest.mark.parametrize("raw, line, byte", [(b"\xff\xfe{", 1, 0),
+                                                 (b'{\n"target_text": "\xe9"}', 2, 18)],
+                             ids=["first-byte", "second-line"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, raw, line, byte):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        code, _, err = run(
+            ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {cfg}: not UTF-8 text at line {line} (invalid " \
+                      f"{'start' if byte == 0 else 'continuation'} byte at byte {byte})\n"
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize(
         "config",
         [{"n": 1}, {"reps": 0}, {"isi_s": 0}, {"target_text": ""}, {"pattern_kind": "foo"},
@@ -704,6 +719,24 @@ class TestReport:
             ["report", "--cp300", a, b, "--xp300", c, "--out", str(tmp_path / "rep")], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("name, raw, message", [
+        ("metrics.csv", b"k,accuracy,itr_bpm\n1,abc,0.0\n", ":2: 'abc' is not a number"),
+        ("metrics.csv", b"k,accuracy,itr_bpm\n1,0.5,0.0\n2\n", ":3: no accuracy field in '2'"),
+        ("summary.txt", b"auc=zz\n", ":1: 'zz' is not a number"),
+        ("metrics.csv", b"k,accuracy,itr_bpm\n1,0.5\xff,0.0\n",
+         ": not UTF-8 text at line 2 (invalid start byte at byte 24)"),
+        ("summary.txt", b"auc=0.8\n\x80\n", ": not UTF-8 text at line 2 (invalid start byte at byte 8)"),
+    ], ids=["accuracy-abc", "no-accuracy-field", "auc-zz", "metrics-not-utf8", "summary-not-utf8"])
+    def test_unreadable_eval_file_exits_3(self, tmp_path, capsys, name, raw, message):
+        d = self._eval_dir(tmp_path, "e", [0.5], 0.8)
+        (tmp_path / "e" / name).write_bytes(raw)
+        code, _, err = run(
+            ["report", "--cp300", d, d, "--xp300", d, d, "--out", str(tmp_path / "rep")], capsys
+        )
+        assert code == 3
+        assert err == f"i/o error: {tmp_path / 'e' / name}{message}\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_identical_cohorts_exit_4(self, tmp_path, capsys):
         a = self._eval_dir(tmp_path, "a", [0.5, 0.6], 0.8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from p300speller import synth
 from p300speller.dsp import DEFAULT_CHANNELS
 from p300speller.patterns import make_constrained_pattern
 from p300speller.pipeline import PipelineConfig, evaluate, preprocess
@@ -204,25 +205,101 @@ class TestChanceLevel:
         assert mean_auc == pytest.approx(0.5, abs=0.05)
 
 
+def whole_array_render(schedule, noise, fs_hz, seed, onset_jitter_s=0.0, visual_templates=(),
+                       tail_s=1.0):
+    """The former renderer: one (n, C) draw, the AR(1) filter along each
+    channel of its C x T copy, an ``np.outer`` per response added into the
+    transposed (F-ordered) result, then the cast to C-ordered float32."""
+    from scipy import signal
+
+    rng = np.random.default_rng(seed)
+    flashes = schedule.events[schedule.events.is_flash]
+    n = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
+    n_ch = len(DEFAULT_CHANNELS)
+    if noise.background_sigma_uv > 0:
+        innovations = rng.standard_normal((n, n_ch)).T.copy()
+        innovations *= noise.background_sigma_uv
+        data = signal.lfilter([1.0], [1.0, -noise.ar_coeff], innovations, axis=1).T
+    else:
+        data = np.zeros((n, n_ch))
+    if noise.alpha_amp_uv > 0:
+        phases = rng.uniform(0.0, 2 * np.pi, n_ch)
+        t = np.arange(n)[:, None] / fs_hz
+        data += noise.alpha_amp_uv * np.sin(2 * np.pi * noise.alpha_freq_hz * t + phases)
+    jitters = rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
+    starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
+    blink = BlinkModel()
+    ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
+    gains = iter([1.0] + [blink.gain(tti) for tti in ttis])
+
+    def add(start, kernel, topography):
+        stop = min(start + len(kernel), n)
+        if 0 <= start < stop:
+            data[start:stop] += np.outer(kernel[: stop - start], topography)
+
+    for start, is_target in zip(starts.tolist(), flashes.is_target.tolist()):
+        if is_target:
+            gain = next(gains)
+            for tpl in default_templates():
+                add(start, tpl.waveform(fs_hz) * gain, tpl.topography)
+        for tpl in visual_templates:
+            add(start, tpl.waveform(fs_hz), tpl.topography)
+    return data.astype(np.float32, order="C")
+
+
 class TestBackground:
-    @pytest.mark.parametrize("fs_hz, alpha_amp_uv", [(250.0, 0.0), (250.0, 2.0), (2000.0, 2.0)])
-    def test_same_bytes_as_time_major_filter(self, schedule, monkeypatch, fs_hz, alpha_amp_uv):
-        """The AR(1) background filters each channel's contiguous row; the
-        samples are those of the former call, which filtered the T x C
-        matrix along time and added the result to zeros."""
-        from scipy import signal
+    """The row-block renderer gives the bytes of the former whole-array one."""
 
-        noise = NoiseModel(background_sigma_uv=1.5, ar_coeff=0.9, alpha_amp_uv=alpha_amp_uv)
-        rec = synthesize_session(schedule, noise=noise, fs_hz=fs_hz, seed=11)
-        lfilter = signal.lfilter
-
-        def time_major(b, a, by_channel, axis):
-            assert axis == 1 and by_channel.flags.c_contiguous
-            data = np.zeros(by_channel.T.shape)
-            data += lfilter(b, a, np.ascontiguousarray(by_channel.T), axis=0)
-            return data.T
-
-        monkeypatch.setattr(signal, "lfilter", time_major)
-        former = synthesize_session(schedule, noise=noise, fs_hz=fs_hz, seed=11)
+    @pytest.mark.parametrize("fs_hz, alpha_amp_uv, case", [
+        pytest.param(250.0, 0.0, None, id="250.0-0.0"),
+        pytest.param(250.0, 2.0, None, id="250.0-2.0"),
+        pytest.param(2000.0, 2.0, None, id="2000.0-2.0"),
+        pytest.param(2000.0, 2.0, "jitter-visual", id="jitter-visual"),
+        pytest.param(2000.0, 2.0, "sigma-0", id="sigma-0"),
+        pytest.param(250.0, 2.0, "below-one-block", id="below-one-block"),
+        pytest.param(2000.0, 0.0, "whole-blocks", id="whole-blocks"),
+        pytest.param(2000.0, 0.0, "whole-blocks-plus-one", id="whole-blocks-plus-one"),
+    ])
+    def test_same_bytes_as_time_major_filter(self, schedule, fs_hz, alpha_amp_uv, case):
+        noise = NoiseModel(background_sigma_uv=0.0 if case == "sigma-0" else 1.5, ar_coeff=0.9,
+                           alpha_amp_uv=alpha_amp_uv)
+        kwargs = {}
+        if case == "jitter-visual":
+            kwargs = {"onset_jitter_s": 0.02, "visual_templates": default_templates(0.5)}
+        if case in ("whole-blocks", "whole-blocks-plus-one"):
+            last = schedule.events.onset_s.max()
+            n = (int(last * fs_hz) // synth._ROWS + 2) * synth._ROWS + (case != "whole-blocks")
+            kwargs = {"tail_s": n / fs_hz - last}
+        rec = synthesize_session(schedule, noise=noise, blink=BlinkModel(), fs_hz=fs_hz,
+                                 seed=11, **kwargs)
         assert rec.samples.flags.c_contiguous and rec.samples.dtype == np.float32
-        assert rec.samples.tobytes() == former.samples.tobytes()
+        if "tail_s" in kwargs:
+            assert rec.n_samples == n and n // synth._ROWS >= 3
+        if case == "below-one-block":
+            assert rec.n_samples < synth._ROWS
+        former = whole_array_render(schedule, noise, fs_hz, seed=11, **kwargs)
+        assert rec.samples.tobytes() == former.tobytes()
+
+    def test_peak_memory_is_the_two_signal_buffers(self):
+        """On the default xp300 session the renderer holds the float64 signal,
+        its float32 copy and no more than 2 MiB besides."""
+        import tracemalloc
+
+        import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
+
+        from p300speller.cli import DEFAULT_TARGET_TEXT
+        from p300speller.patterns import default_matrix
+
+        matrix = default_matrix(6)
+        sched = make_xp300_schedule(make_constrained_pattern(6), reps=10, isi_s=ISI,
+                                    targets=[matrix.locate(ch) for ch in DEFAULT_TARGET_TEXT],
+                                    seed=0)
+        tracemalloc.start()
+        try:
+            rec = synthesize_session(sched, blink=BlinkModel(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, n_ch = rec.samples.shape
+        assert n > 700_000
+        assert peak <= n * n_ch * 12 + 2 * 2**20
