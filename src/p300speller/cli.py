@@ -380,9 +380,12 @@ def _numbered_lines(path: Path) -> list[tuple[int, str]]:
 
 def _number(path: Path, lineno: int, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise BundleError(f"{path}:{lineno}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise BundleError(f"{path}:{lineno}: {text!r} is not a finite number")
+    return value
 
 
 def _not_utf8(exc: UnicodeDecodeError) -> str:

@@ -6,13 +6,19 @@ onset: X = D A + noise, where D is a T x L 0/1 Toeplitz-structured design
 L x C waveform.  With A estimated by least squares, the spatial filters u
 maximize the Rayleigh quotient
 
-    rho(u) = ||D A u||^2 / ||X u||^2,
+    rho(u) = ||D A u||^2 / ||X u||^2.
 
-found through two thin QR decompositions and one SVD: with D = Qd Rd and
-X = Qx Rx, the least-squares projection gives D A = Qd Qd' X, so
-rho(u) = ||Qd' Qx w||^2 / ||w||^2 for w = Rx u.  The singular vectors of
-Qd' Qx therefore solve the problem, and the singular values are cosines
-of principal angles, so every rho lies in [0, 1].
+With D = Qd Rd and X = Qx Rx, the least-squares projection gives
+D A = Qd Qd' X, so rho(u) = ||Qd' Qx w||^2 / ||w||^2 for w = Rx u.  The
+singular vectors of Qd' Qx therefore solve the problem, and the singular
+values are cosines of principal angles, so every rho lies in [0, 1].
+
+Neither D nor Qd is formed.  Qd' Qx = Rd^-T (D' X) Rx^-1 needs three
+small matrices: D' D, the L x L symmetric Toeplitz of onset-pair counts
+(entry (i, j) counts the onsets o with o + |i - j| also an onset), whose
+Cholesky factor is Rd; D' X, the sum of the L x C windows of X that start
+at the onsets; and Rx, the triangle of a QR of X taken without its Q.
+``build_toeplitz`` keeps the dense design as the reference.
 """
 
 from dataclasses import dataclass, replace
@@ -50,8 +56,8 @@ class SpatialFilterModel:
         )
 
 
-def build_toeplitz(onsets, erp_len: int, total_samples: int) -> np.ndarray:
-    """T x L 0/1 design: d[t, l] = 1 iff t = onset + l for some onset."""
+def _check_onsets(onsets, erp_len: int, total_samples: int) -> np.ndarray:
+    """The onsets as ints, checked sorted, distinct and with their ERP windows inside."""
     onsets = np.asarray(onsets, dtype=int)
     if onsets.size and (np.any(np.diff(onsets) <= 0)):
         raise ValidationError("onsets must be sorted and distinct")
@@ -62,6 +68,12 @@ def build_toeplitz(onsets, erp_len: int, total_samples: int) -> np.ndarray:
             f"onset {int(onsets.max())} too close to the end: the ERP window of {erp_len} "
             f"samples runs past the end of the recording ({total_samples} samples)"
         )
+    return onsets
+
+
+def build_toeplitz(onsets, erp_len: int, total_samples: int) -> np.ndarray:
+    """T x L 0/1 design: d[t, l] = 1 iff t = onset + l for some onset."""
+    onsets = _check_onsets(onsets, erp_len, total_samples)
     d = np.zeros((total_samples, erp_len))
     lags = np.arange(erp_len)
     d[onsets[:, None] + lags, lags] = 1.0
@@ -90,14 +102,24 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     if len(onsets) < 2:
         raise PipelineError("need at least two target flashes to fit spatial filters")
 
-    # full column rank: sorted, distinct, in-range onsets make rows o0..o0+L-1 unit lower-triangular
-    qd, _ = np.linalg.qr(build_toeplitz(onsets, erp_len, t_total))
-    qx, rx = np.linalg.qr(x)
+    onsets = _check_onsets(onsets, erp_len, t_total)
+    lags = np.arange(erp_len)
+    windows = onsets[:, None] + lags
+    # D'D[i, j] counts onsets o with o + |i - j| also an onset; it is positive
+    # definite, since sorted, distinct, in-range onsets give D full column rank
+    pair_counts = np.isin(windows, onsets).sum(axis=0)
+    dtd = pair_counts[np.abs(lags[:, None] - lags)].astype(float)
+    dtx = x[windows].sum(axis=0)
+    rx = np.linalg.qr(x, mode="r")
     diag = np.abs(np.diag(rx))
     if diag.min() <= 1e-12 * max(diag.max(), 1.0):
         raise PipelineError("degenerate signal: channel covariance is rank-deficient")
 
-    _, lam, psi_t = np.linalg.svd(qd.T @ qx, full_matrices=False)
+    # Qd' Qx = Rd^-T D'X Rx^-1, with Rd^T the Cholesky factor of D'D
+    left = np.linalg.solve(np.linalg.cholesky(dtd), dtx)
+    _, lam, psi_t = np.linalg.svd(np.linalg.solve(rx.T, left.T).T, full_matrices=False)
+    # cosines of principal angles: rounding must not lift rho past 1
+    lam = np.minimum(lam, 1.0)
     n_f = min(n_f, lam.size)
     u = np.linalg.solve(rx, psi_t[:n_f].T)
     u /= np.linalg.norm(u, axis=0, keepdims=True)

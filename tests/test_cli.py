@@ -724,10 +724,15 @@ class TestReport:
         ("metrics.csv", b"k,accuracy,itr_bpm\n1,abc,0.0\n", ":2: 'abc' is not a number"),
         ("metrics.csv", b"k,accuracy,itr_bpm\n1,0.5,0.0\n2\n", ":3: no accuracy field in '2'"),
         ("summary.txt", b"auc=zz\n", ":1: 'zz' is not a number"),
+        ("summary.txt", b"auc=nan\n", ":1: 'nan' is not a finite number"),
+        ("summary.txt", b"auc=inf\n", ":1: 'inf' is not a finite number"),
+        ("metrics.csv", b"k,accuracy,itr_bpm\n1,0.5,0.0\n2,nan,0.0\n",
+         ":3: 'nan' is not a finite number"),
         ("metrics.csv", b"k,accuracy,itr_bpm\n1,0.5\xff,0.0\n",
          ": not UTF-8 text at line 2 (invalid start byte at byte 24)"),
         ("summary.txt", b"auc=0.8\n\x80\n", ": not UTF-8 text at line 2 (invalid start byte at byte 8)"),
-    ], ids=["accuracy-abc", "no-accuracy-field", "auc-zz", "metrics-not-utf8", "summary-not-utf8"])
+    ], ids=["accuracy-abc", "no-accuracy-field", "auc-zz", "auc-nan", "auc-inf", "accuracy-nan",
+        "metrics-not-utf8", "summary-not-utf8"])
     def test_unreadable_eval_file_exits_3(self, tmp_path, capsys, name, raw, message):
         d = self._eval_dir(tmp_path, "e", [0.5], 0.8)
         (tmp_path / "e" / name).write_bytes(raw)

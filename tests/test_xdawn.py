@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
+from p300speller import xdawn
 from p300speller.dsp import Recording
 from p300speller.errors import PipelineError, ValidationError
 from p300speller.patterns import make_rc_pattern
@@ -14,6 +19,7 @@ from p300speller.xdawn import (
 )
 
 FS = 25.0
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 def target_flashes(onsets_s):
@@ -40,6 +46,13 @@ def oracle_filters(samples, onsets, erp_len, n_f):
     vals, vecs = linalg.eigh(a, b)
     order = np.argsort(vals)[::-1][:n_f]
     return vals[order], vecs[:, order]
+
+
+def recording(samples, onsets):
+    """A recording of the given samples with target flashes at the given sample indices."""
+    names = tuple(f"ch{i}" for i in range(samples.shape[1]))
+    events = target_flashes(np.asarray(onsets) / FS)
+    return Recording(fs_hz=FS, samples=samples, channel_names=names, events=events)
 
 
 class TestToeplitz:
@@ -73,7 +86,7 @@ class TestToeplitz:
         "onsets", [list(range(0, 26)), [25], [0, 25]], ids=["adjacent", "last", "first-last"]
     )
     def test_full_column_rank(self, onsets):
-        # fit_xdawn takes the QR basis of the design without a rank fallback:
+        # fit_xdawn takes the Cholesky factor of D'D without a rank fallback:
         # any admitted onsets (sorted, distinct, in range) give full column rank,
         # down to adjacent onsets and an onset at T - L
         design = build_toeplitz(onsets, erp_len=15, total_samples=40)
@@ -131,6 +144,81 @@ class TestFit:
         model_p = fit_xdawn(permuted, erp_len=15, n_f=4)
         # filtered output is invariant under channel relabeling
         assert np.allclose(rec.samples @ model.u, permuted.samples @ model_p.u, atol=1e-8)
+
+    def test_rho_at_most_one_without_noise(self):
+        # X = D A lies in the span of D: every principal angle is 0, and rounding
+        # in the singular values must not lift rho past 1
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            onsets = np.sort(rng.choice(400 - 15, size=40, replace=False))
+            samples = build_toeplitz(onsets, 15, 400) @ rng.standard_normal((15, 8))
+            model = fit_xdawn(recording(samples, onsets), erp_len=15, n_f=8)
+            assert model.rho.max() <= 1.0, (seed, model.rho.max())
+            assert model.rho.min() == pytest.approx(1.0, abs=1e-12)
+
+    @SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        erp_len=st.integers(1, 30),
+        n_ch=st.integers(1, 64),
+        extra=st.integers(0, 3000),
+        n_random=st.integers(0, 60),
+        runs=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 60)), max_size=4),
+    )
+    def test_matches_dense_reference(self, seed, erp_len, n_ch, extra, n_random, runs):
+        # random onsets mixed with runs of consecutive onsets, which overlap most
+        # and give the worst-conditioned D'D
+        t_total = min(3000, 2 * max(erp_len, n_ch) + extra)
+        last = t_total - erp_len
+        rng = np.random.default_rng(seed)
+        picked = [rng.integers(0, last + 1, size=n_random)]
+        for start, length in runs:
+            first = int(start * last)
+            picked.append(np.arange(first, min(first + length, last + 1)))
+        onsets = np.unique(np.concatenate(picked))
+        assume(onsets.size >= 2)
+        samples = rng.standard_normal((t_total, n_ch))
+        model = fit_xdawn(recording(samples, onsets), erp_len=erp_len, n_f=n_ch)
+        assert model.n_f == min(erp_len, n_ch)
+        vals, vecs = oracle_filters(samples, onsets, erp_len, n_ch)
+        assert np.all(model.rho >= 0) and np.all(model.rho <= 1)
+        assert np.all(np.diff(model.rho) <= 0)
+        assert np.abs(model.rho - vals[: model.n_f]).max() < 1e-8
+        for k in range(model.n_f):
+            gap = np.abs(np.delete(vals, k) - vals[k]).min() if n_ch > 1 else np.inf
+            if gap > 1e-6:
+                v = vecs[:, k] / np.linalg.norm(vecs[:, k])
+                angle = np.arccos(np.clip(abs(model.u[:, k] @ v), -1.0, 1.0))
+                assert angle < 1e-6, (k, gap, angle)
+
+    def test_never_builds_the_design(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("fit_xdawn built the T x L design")
+
+        monkeypatch.setattr(xdawn, "build_toeplitz", dense)
+        rec, onsets = random_problem(11)
+        model = fit_xdawn(rec, erp_len=15, n_f=4)
+        vals, _ = oracle_filters(rec.samples, onsets, 15, 4)
+        assert np.abs(model.rho - vals).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "onsets, message",
+        [
+            ([3, 40, 40, 90], "onsets must be sorted and distinct"),
+            ([-1, 40, 90], "onset -1 lies before the recording"),
+            (
+                [3, 40, 1186],
+                "onset 1186 too close to the end: the ERP window of 15 samples runs past "
+                "the end of the recording (1200 samples)",
+            ),
+        ],
+        ids=["duplicate", "before-start", "past-end"],
+    )
+    def test_onset_checks(self, onsets, message):
+        rec, _ = random_problem(0)
+        rec.events = target_flashes(np.array(onsets) / FS)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fit_xdawn(rec, erp_len=15)
 
     def test_too_few_targets(self):
         rec, _ = random_problem(0)
