@@ -13,8 +13,11 @@ A bundle is a directory of three files:
   The writer's canonical line is compact JSON with sorted keys, e.g.
   ``{"block":"row","cells":[[1,2],[2,1]],"char_index":0,"flash_id":2,``
   ``"is_target":false,"kind":"flash","onset_s":0.0,"repetition":0,"slot":0}``.
-  A file of canonical lines is read column by column, with one regex pass;
-  any other valid JSON spelling is read line by line, with the same checks.
+  A file of canonical lines is split into field texts by one regex pass,
+  any other by ``json.loads`` of each line, re-encoded canonically.  Both
+  meet one rule set, which reports first a line that is not JSON or lacks
+  or mistypes a field, then a key or cells not of the pattern, then an
+  integer past int64, then a non-finite onset.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
 identical inputs; reads verify that each file is a regular file, the
@@ -23,6 +26,7 @@ A bundle file must be replaced by rename, never rewritten in place, while
 a command reads it: truncating the mapped signal in place raises SIGBUS.
 """
 
+import io
 import json
 import os
 import re
@@ -34,7 +38,7 @@ import numpy as np
 from .dsp import Recording
 from .errors import BundleError, ValidationError
 from .patterns import FlashPattern, cells_for_flash, pair_table
-from .scheduler import BLOCKS, COLUMNS, FLASH, PAUSE, Events
+from .scheduler import BLOCKS, FLASH, PAUSE, Events
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -52,29 +56,29 @@ _EVENT_FIELDS = {
     "flash_id": r"null|[0-9]+",
     "is_target": "true|false",
     "kind": r'"\w*"',
-    "onset_s": _INTEGER + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?",
+    "onset_s": r"NaN|-?Infinity|" + _INTEGER + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?",
     "repetition": _INTEGER,
     "slot": _INTEGER,
 }
 _KEY_FIELDS = ("kind", "block", "flash_id", "cells")
 _VARYING_FIELDS = tuple(name for name in _EVENT_FIELDS if name not in _KEY_FIELDS)
-# compiled on first use (``re`` caches it), so importing the CLI stays cheap
-_CANONICAL_LINE = (
-    r"^\{" + ",".join(f'"{name}":({regex})' for name, regex in _EVENT_FIELDS.items()) + r"\}\n"
+# what a varying field's JSON value must be, as the error for a line names it
+_MUST_BE = {"char_index": "a JSON integer", "is_target": "true or false",
+            "onset_s": "a JSON number", "repetition": "a JSON integer", "slot": "a JSON integer"}
+# compiled on first use (``re`` caches them), so importing the CLI stays cheap
+_EVENT_OBJECT = (
+    r"\{" + ",".join(f'"{name}":({regex})' for name, regex in _EVENT_FIELDS.items()) + r"\}"
 )
-# the JSON types each number field of events.jsonl takes; a dict lookup or
-# int() would also take true for 1, 2.0 for 2 and "17" for 17
-_NUMBER_TYPES = {"onset_s": {int, float}, "slot": {int}, "char_index": {int},
-                 "repetition": {int}, "flash_id": {int}}
+_CANONICAL_LINE = "^" + _EVENT_OBJECT + r"\n"
 
 
 def write_session(rec: Recording, path, meta: dict | None = None) -> None:
     """Write a recording as a bundle directory; ``meta`` gains the events' pattern."""
+    if rec.events is None:  # a bundle without meta.pattern could not be read back
+        raise ValidationError("a bundle needs the recording's events and their pattern")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    meta = dict(meta or {})
-    if rec.events is not None:
-        meta["pattern"] = rec.events.pattern.to_json()
+    meta = {**(meta or {}), "pattern": rec.events.pattern.to_json()}
     manifest = {
         "format_version": FORMAT_VERSION,
         "fs_hz": rec.fs_hz,
@@ -84,8 +88,7 @@ def write_session(rec: Recording, path, meta: dict | None = None) -> None:
         "meta": meta,
     }
     atomic_write(path / SIGNAL_NAME, np.ascontiguousarray(rec.samples, dtype="<f4"))
-    events = "" if rec.events is None else events_jsonl(rec.events)
-    atomic_write(path / EVENTS_NAME, events.encode())
+    atomic_write(path / EVENTS_NAME, events_jsonl(rec.events).encode())
     atomic_write(
         path / MANIFEST_NAME,
         (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
@@ -205,35 +208,30 @@ def read_session(path) -> Recording:
 
 
 def _read_events(path: Path, pattern: FlashPattern) -> Events:
-    """Parse events.jsonl: a file of canonical lines in one pass, any other
-    file line by line."""
-    events = _read_canonical_events(path, pattern)
-    return events if events is not None else _read_event_lines(path, pattern)
-
-
-def _read_canonical_events(path: Path, pattern: FlashPattern) -> Events | None:
-    """The events of a file whose every line is canonical and holds a key of
-    the pattern and a finite onset; None for any other file.  A file that is
-    not text is a BundleError."""
+    """Parse events.jsonl into each line's field texts (one regex pass over a
+    file of canonical lines, else ``_json_rows``), then check those texts."""
     try:
         text = read_text(path)
     except UnicodeDecodeError as exc:
         raise BundleError(f"{path}: {exc}") from exc
     rows = re.findall(_CANONICAL_LINE, text, re.MULTILINE | re.ASCII)
-    if text[-1:] not in ("", "\n") or len(rows) != text.count("\n"):
-        return None
+    if text[-1:] in ("", "\n") and len(rows) == text.count("\n"):
+        linenos = range(1, len(rows) + 1)
+    else:
+        rows, linenos = _json_rows(path, text)
     columns = dict(zip(_EVENT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_EVENT_FIELDS, ())
     texts = _key_texts(pattern)
     known = {tuple(map(key_texts.get, _KEY_FIELDS)) for key_texts in texts.values()}
     if not set(zip(*map(columns.get, _KEY_FIELDS))) <= known:  # once per distinct key
-        return None
+        raise _key_fault(path, text, known)
     # every line holds a key of the pattern, so its block and flash_id texts name it
     blocks = {key_texts["block"]: block for (block, _), key_texts in texts.items()}
     flash_ids = {key_texts["flash_id"]: flash_id for (_, flash_id), key_texts in texts.items()}
+    onset_s = list(map(float, columns["onset_s"]))
     try:
         events = Events(
             pattern,
-            onset_s=list(map(float, columns["onset_s"])),
+            onset_s=onset_s,
             slot=list(map(int, columns["slot"])),
             char_index=list(map(int, columns["char_index"])),
             repetition=list(map(int, columns["repetition"])),
@@ -241,56 +239,56 @@ def _read_canonical_events(path: Path, pattern: FlashPattern) -> Events | None:
             flash_id=list(map(flash_ids.get, columns["flash_id"])),
             is_target=list(map("true".__eq__, columns["is_target"])),
         )
-    except OverflowError:
-        return None
-    return events if np.isfinite(events.onset_s).all() else None
-
-
-def _read_event_lines(path: Path, pattern: FlashPattern) -> Events:
-    """Parse events.jsonl line by line, checking each line's fields and its
-    cells against the pattern."""
-    cells = _cells_by_key(pattern)
-    rows, linenos = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key = (obj["kind"], obj["block"], obj["flash_id"])
-                if key not in cells:
-                    raise ValueError(f"kind, block and flash_id {list(key)} name neither a "
-                                     f"pause nor a flash of the pattern in meta")
-                if obj["cells"] != cells[key]:
-                    raise ValueError(f"cells {obj['cells']} differ from {cells[key]}, which "
-                                     f"the pattern in meta lights for {list(key)}")
-                if not isinstance(obj["is_target"], bool):
-                    raise ValueError(f"is_target must be true or false, got {obj['is_target']!r}")
-                block = BLOCKS.index(key[1]) if key[0] == FLASH else -1
-                rows.append((
-                    obj["onset_s"], obj["slot"], obj["char_index"], obj["repetition"],
-                    block, key[2] or 0, obj["is_target"],
-                ))
-                linenos.append(lineno)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BundleError(f"{path} line {lineno}: {exc}") from exc
-    columns = dict(zip(COLUMNS, zip(*rows))) if rows else dict.fromkeys(COLUMNS, ())
-    for name, types in _NUMBER_TYPES.items():
-        if not set(map(type, columns[name])) <= types:  # one pass per column, not per line
-            i = next(i for i, value in enumerate(columns[name]) if type(value) not in types)
-            kind = "number" if float in types else "integer"
-            raise BundleError(f"{path} line {linenos[i]}: {name} must be a JSON {kind}, "
-                              f"got {columns[name][i]!r}")
-    try:
-        events = Events(pattern, **columns)
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # past int64, or past int()'s digit limit
         raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
     infinite = np.flatnonzero(~np.isfinite(events.onset_s))
     if infinite.size:
         i = infinite[0]
-        raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, "
-                          f"got {columns['onset_s'][i]!r}")
+        raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, got {onset_s[i]!r}")
     return events
+
+
+def _json_rows(path: Path, text: str) -> tuple[list, list]:
+    """The canonical field texts, re-encoded from ``json.loads``, and the line
+    number of each non-blank line; a line that is not an object of the nine
+    fields, or whose varying field's text fails its regex, is a BundleError."""
+    rows, linenos = [], []
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            values = {name: obj[name] for name in _EVENT_FIELDS}
+            match = re.fullmatch(_EVENT_OBJECT, _EVENT_ENCODER.encode(values), re.ASCII)
+            if match:
+                row = match.groups()
+            else:  # field by field, so a varying field that fails its regex is named
+                row = tuple(map(_EVENT_ENCODER.encode, values.values()))
+                for name, field in zip(_EVENT_FIELDS, row):
+                    if name in _MUST_BE and not re.fullmatch(_EVENT_FIELDS[name], field):
+                        raise ValueError(f"{name} must be {_MUST_BE[name]}, got {values[name]!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BundleError(f"{path} line {lineno}: {exc}") from exc
+        rows.append(row)
+        linenos.append(lineno)
+    return rows, linenos
+
+
+def _key_fault(path: Path, text: str, known: set) -> BundleError:
+    """The error for the first line whose (kind, block, flash_id, cells) texts
+    are no key of the pattern, taken from ``_json_rows``: its texts decode, and
+    a line that is not JSON (the regexes admit a few) is the error instead."""
+    rows, linenos = _json_rows(path, text)
+    columns = dict(zip(_EVENT_FIELDS, zip(*rows)))
+    keys = zip(*map(columns.get, _KEY_FIELDS))
+    i, key = next((i, key) for i, key in enumerate(keys) if key not in known)
+    kind, block, flash_id, cells = map(json.loads, key)
+    lit = {known_key[:3]: known_key[3] for known_key in known}.get(key[:3])
+    reason = (f"kind, block and flash_id {[kind, block, flash_id]} name neither a pause nor a "
+              f"flash of the pattern in meta" if lit is None else
+              f"cells {cells} differ from {json.loads(lit)}, which the pattern in meta lights "
+              f"for {[kind, block, flash_id]}")
+    return BundleError(f"{path} line {linenos[i]}: {reason}")
 
 
 def atomic_write(target: Path, data) -> None:

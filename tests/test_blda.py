@@ -100,6 +100,15 @@ class TestFit:
         assert not m.converged
         assert m.iterations == 2
 
+    def test_stops_on_an_unusable_update(self):
+        """With four examples in ten dimensions gamma outgrows the example
+        count, so beta's update turns negative at iteration 17: the fit stops
+        there, unconverged, with the last usable alpha and beta."""
+        x = np.random.default_rng(0).standard_normal((4, 10))
+        m = fit_blda(x, [True, False, False, False])
+        assert (m.iterations, m.converged) == (17, False)
+        assert np.isfinite(m.w).all() and m.alpha > 0 and m.beta > 0
+
     def test_scale_invariant_ranking(self):
         x, labels = oddball_problem(6)
         holdout, _ = oddball_problem(7)

@@ -57,6 +57,11 @@ class TestPattern:
         assert err.startswith(f"error: constrained construction needs n >= 3 (got {n})")
         assert "Traceback" not in err
 
+    def test_permuted_without_seed_exits_2(self, capsys):
+        code, out, err = run(["pattern", "--kind", "permuted", "--n", "4"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --seed is required for kind 'permuted'\n"
+
     def test_constrained_draws_pi_r_then_pi_c(self, capsys):
         code, out, _ = run(["pattern", "--kind", "constrained", "--n", "6", "--seed", "3"], capsys)
         rng = np.random.default_rng(3)
@@ -118,6 +123,22 @@ class TestSimulate:
         )
         assert code == 2
         assert "unknown_knob" in err
+
+    @pytest.mark.parametrize("raw, message", [
+        ('{"n": 6,\n', "{cfg}: invalid JSON at line 2"),
+        ('[{"n": 6}]', "{cfg}: config must be a JSON object"),
+        ('{"synth": {"fs_hz": 20}}', "synth fs_hz must exceed twice the bandpass upper edge"),
+    ], ids=["not-json", "array", "rate-below-band"])
+    def test_unusable_config_exits_2(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(raw)
+        code, _, err = run(
+            ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2
+        assert err == f"error: {message.format(cfg=cfg)}\n"
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("raw, line, byte", [(b"\xff\xfe{", 1, 0),
                                                  (b'{\n"target_text": "\xe9"}', 2, 18)],
@@ -610,6 +631,14 @@ class TestCorruptBundles:
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
 
+    def test_manifest_not_json_exits_3(self, session_pair, tmp_path, capsys):
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        (tmp_path / "b" / "manifest.json").write_text('{"format_version": 1,\n')
+        code, _, err = run(["train", "--session", str(tmp_path / "b"), "--out",
+                            str(tmp_path / "m")], capsys)
+        assert code == 3
+        assert err == f"i/o error: {tmp_path / 'b' / 'manifest.json'}: invalid JSON at line 2\n"
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize(
         "onset, message",
@@ -741,6 +770,26 @@ class TestReport:
         )
         assert code == 3
         assert err == f"i/o error: {tmp_path / 'e' / name}{message}\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_not_an_eval_directory_exits_3(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        d = str(tmp_path / "empty")
+        code, _, err = run(
+            ["report", "--cp300", d, d, "--xp300", d, d, "--out", str(tmp_path / "rep")], capsys
+        )
+        assert code == 3
+        assert err.startswith(f"i/o error: {d}: not an eval output directory (")
+        assert not (tmp_path / "rep").exists()
+
+    def test_summary_without_auc_exits_3(self, tmp_path, capsys):
+        d = self._eval_dir(tmp_path, "e", [0.5], 0.8)
+        (tmp_path / "e" / "summary.txt").write_text("k=1\n")
+        code, _, err = run(
+            ["report", "--cp300", d, d, "--xp300", d, d, "--out", str(tmp_path / "rep")], capsys
+        )
+        assert code == 3
+        assert err == f"i/o error: {d}: missing auc or accuracy values\n"
         assert not (tmp_path / "rep").exists()
 
     def test_identical_cohorts_exit_4(self, tmp_path, capsys):

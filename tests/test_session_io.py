@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from p300speller import pipeline, session_io
 from p300speller.cli import main
 from p300speller.dsp import Recording
-from p300speller.errors import BundleError
+from p300speller.errors import BundleError, ValidationError
 from p300speller.patterns import make_constrained_pattern, make_rc_pattern
-from p300speller.scheduler import Events, make_cp300_schedule, make_xp300_schedule
+from p300speller.scheduler import (
+    BLOCKS, COLUMNS, FLASH, Events, make_cp300_schedule, make_xp300_schedule,
+)
 from p300speller.session_io import events_jsonl, read_manifest, read_session, write_session
 from p300speller.synth import synthesize_session
 
@@ -39,10 +42,19 @@ class TestWrite:
         assert size == recording.n_samples * recording.n_channels * 4
         assert read_manifest(tmp_path / "s")["n_samples"] == recording.n_samples
 
-    def test_small_recording_exact_size(self, tmp_path):
-        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8), dtype=np.float32))
+    def test_small_recording_exact_size(self, tmp_path, recording):
+        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8), dtype=np.float32),
+                        events=recording.events[:0])
         write_session(rec, tmp_path / "s")
         assert (tmp_path / "s" / "signal.f32").stat().st_size == 3200
+
+    def test_recording_without_events_rejected_up_front(self, tmp_path):
+        """A bundle's meta.pattern comes from the events: without them the
+        bundle could not be read back."""
+        rec = Recording(fs_hz=25.0, samples=np.zeros((100, 8), dtype=np.float32))
+        with pytest.raises(ValidationError, match="needs the recording's events"):
+            write_session(rec, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
     def test_byte_determinism(self, tmp_path, recording):
         write_session(recording, tmp_path / "a", meta={"seed": 1})
@@ -285,6 +297,60 @@ def _outcome(read, *args):
         return str(exc)
 
 
+# the JSON types each number field of events.jsonl takes; a dict lookup or
+# int() would also take true for 1, 2.0 for 2 and "17" for 17
+_NUMBER_TYPES = {"onset_s": {int, float}, "slot": {int}, "char_index": {int},
+                 "repetition": {int}, "flash_id": {int}}
+
+
+def _read_event_lines(path: Path, pattern) -> Events:
+    """Parse events.jsonl line by line, checking each line's fields and its
+    cells against the pattern: the reference reader that ``_read_events``
+    must agree with."""
+    cells = session_io._cells_by_key(pattern)
+    rows, linenos = [], []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                key = (obj["kind"], obj["block"], obj["flash_id"])
+                if key not in cells:
+                    raise ValueError(f"kind, block and flash_id {list(key)} name neither a "
+                                     f"pause nor a flash of the pattern in meta")
+                if obj["cells"] != cells[key]:
+                    raise ValueError(f"cells {obj['cells']} differ from {cells[key]}, which "
+                                     f"the pattern in meta lights for {list(key)}")
+                if not isinstance(obj["is_target"], bool):
+                    raise ValueError(f"is_target must be true or false, got {obj['is_target']!r}")
+                block = BLOCKS.index(key[1]) if key[0] == FLASH else -1
+                rows.append((
+                    obj["onset_s"], obj["slot"], obj["char_index"], obj["repetition"],
+                    block, key[2] or 0, obj["is_target"],
+                ))
+                linenos.append(lineno)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BundleError(f"{path} line {lineno}: {exc}") from exc
+    columns = dict(zip(COLUMNS, zip(*rows))) if rows else dict.fromkeys(COLUMNS, ())
+    for name, types in _NUMBER_TYPES.items():
+        if not set(map(type, columns[name])) <= types:  # one pass per column, not per line
+            i = next(i for i, value in enumerate(columns[name]) if type(value) not in types)
+            kind = "number" if float in types else "integer"
+            raise BundleError(f"{path} line {linenos[i]}: {name} must be a JSON {kind}, "
+                              f"got {columns[name][i]!r}")
+    try:
+        events = Events(pattern, **columns)
+    except OverflowError as exc:
+        raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
+    infinite = np.flatnonzero(~np.isfinite(events.onset_s))
+    if infinite.size:
+        i = infinite[0]
+        raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, "
+                          f"got {columns['onset_s'][i]!r}")
+    return events
+
+
 def _onset_line(line: str, onset: str) -> str:
     return line.replace('"onset_s":0.133,', f'"onset_s":{onset},')
 
@@ -318,6 +384,16 @@ LINE_EDITS = [
     ("flash-as-pause", lambda lines: [lines[0].replace('"kind":"flash"', '"kind":"pause"')]
      + lines[1:]),
     ("title-case-bool", lambda lines: [lines[0].replace("false", "False", 1)] + lines[1:]),
+    ("trailing-comma-cells", lambda lines: [lines[0].replace("]],", "],],", 1)] + lines[1:]),
+    ("leading-zero-flash-id", lambda lines: [lines[0].replace('"flash_id":6', '"flash_id":06')]
+     + lines[1:]),
+    ("float-slot", lambda lines: [lines[0], lines[1].replace('"slot":1}', '"slot":1.0}')]
+     + lines[2:]),
+    ("missing-key", lambda lines: [lines[0], lines[1].replace(',"slot":1}', "}")] + lines[2:]),
+    ("array-line", lambda lines: [lines[0], "[1, 2]\n"] + lines[2:]),
+    ("form-feed", lambda lines: [lines[0].replace("}\n", "}\f\n")] + lines[1:]),
+    ("integer-target", lambda lines: [lines[0].replace('"is_target":false', '"is_target":0')]
+     + lines[1:]),
 ]
 
 
@@ -338,8 +414,60 @@ class TestCanonicalReader:
         edited = "".join(edit(text.splitlines(keepends=True)))
         assert edited != text
         path.write_text(edited, newline="")
-        per_line = _outcome(session_io._read_event_lines, path, pattern)
+        per_line = _outcome(_read_event_lines, path, pattern)
         assert _outcome(session_io._read_events, path, pattern) == per_line
+
+    @pytest.mark.parametrize("first, second, message", [
+        (lambda line: line.replace('"kind":"flash"', '"kind":"pause"'),
+         lambda line: line.replace('"slot":3}', '"slot":"3"}'),
+         "line 4: slot must be a JSON integer, got '3'"),
+        (lambda line: line.replace('"slot":0}', '"slot":9' + "9" * 19 + "}"),
+         lambda line: line.replace('"flash_id":5', '"flash_id":3'),
+         "line 4: cells [[1, 5], [2, 6], [3, 1], [4, 2], [5, 3], [6, 4]] differ from "
+         "[[1, 3], [2, 4], [3, 5], [4, 6], [5, 1], [6, 2]], which the pattern in meta lights "
+         "for ['flash', 'row', 3]"),
+        (lambda line: line.replace('"onset_s":0.0,', '"onset_s":NaN,'),
+         lambda line: line.replace('"slot":3}', '"slot":-9' + "9" * 19 + "}"),
+         "an integer field is out of range"),
+    ], ids=["mistyped-before-key", "key-before-range", "range-before-finite"])
+    def test_fault_order(self, canonical, first, second, message):
+        """In a file with several faults, the one reported is the first line
+        that is not JSON or lacks or mistypes a field; then the first whose
+        key or cells the pattern does not hold; then an integer out of int64
+        range; then the first non-finite onset."""
+        path, pattern = canonical
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0], lines[3] = first(lines[0]), second(lines[3])
+        path.write_text("".join(lines))
+        with pytest.raises(BundleError, match=re.escape(message)):
+            session_io._read_events(path, pattern)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line.replace('"flash_id":6', '"flash_id":6.0'),
+         "line 1: kind, block and flash_id ['flash', 'row', 6.0] name neither a pause nor a "
+         "flash of the pattern in meta"),
+        (lambda line: line.replace("[[1,6],", "[[1.0,6],"),
+         "line 1: cells [[1.0, 6], [2, 1], [3, 2], [4, 3], [5, 4], [6, 5]] differ from "
+         "[[1, 6], [2, 1], [3, 2], [4, 3], [5, 4], [6, 5]], which the pattern in meta lights "
+         "for ['flash', 'row', 6]"),
+    ], ids=["float-flash-id", "float-cell"])
+    def test_key_fields_compared_as_canonical_text(self, canonical, edit, message):
+        """A key field must be the writer's JSON text: ``6.0`` is not the
+        flash ``6``, though the per-line reader's ``==`` took it for one."""
+        path, pattern = canonical
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([edit(lines[0])] + lines[1:]))
+        with pytest.raises(BundleError, match=re.escape(message)):
+            session_io._read_events(path, pattern)
+
+    def test_integer_past_the_digit_limit(self, canonical):
+        """A canonical line may hold more digits than ``int()`` converts."""
+        path, pattern = canonical
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace('"slot":0}', '"slot":' + "9" * 5000 + "}")
+        path.write_text("".join(lines))
+        with pytest.raises(BundleError, match="an integer field is out of range .*4300 digits"):
+            session_io._read_events(path, pattern)
 
     def test_no_json_loads_for_a_simulated_bundle(self, tmp_path, monkeypatch):
         """Only the manifest goes through ``json.loads``: a writer whose lines
@@ -389,11 +517,22 @@ def test_schedule_round_trip(tmp_path_factory, spec):
                     channel_names=("Cz",), events=events)
     path = tmp_path_factory.mktemp("bundle")
     write_session(rec, path)
-    canonical = session_io._read_canonical_events(path / "events.jsonl", pattern)
+    canonical = session_io._read_events(path / "events.jsonl", pattern)
     assert canonical == events
-    assert canonical == session_io._read_event_lines(path / "events.jsonl", pattern)
+    assert canonical == _read_event_lines(path / "events.jsonl", pattern)
+    assert canonical == _read_respaced(path / "events.jsonl", pattern)
     assert read_session(path).events == events
     assert events_jsonl(canonical) == (path / "events.jsonl").read_text()
+
+
+def _read_respaced(path: Path, pattern) -> Events:
+    """``_read_events`` of a copy of ``path`` that ``json.dumps`` rewrote with
+    its default spacing and each line's keys reversed, so no line of it is
+    canonical."""
+    copy = path.with_name("respaced.jsonl")
+    copy.write_text("".join(json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+                            for line in path.read_text().splitlines()))
+    return session_io._read_events(copy, pattern)
 
 
 @st.composite
@@ -423,6 +562,7 @@ def test_any_event_table_round_trip(tmp_path_factory, events):
     they survive ``json.loads``."""
     path = tmp_path_factory.mktemp("events") / "events.jsonl"
     path.write_text(events_jsonl(events))
-    canonical = session_io._read_canonical_events(path, events.pattern)
+    canonical = session_io._read_events(path, events.pattern)
     assert canonical == events
-    assert canonical == session_io._read_event_lines(path, events.pattern)
+    assert canonical == _read_event_lines(path, events.pattern)
+    assert canonical == _read_respaced(path, events.pattern)
