@@ -186,11 +186,17 @@ def filter_recording(spec: FilterSpec, rec: Recording, fs_out: float) -> Recordi
             out += start_map @ state
             state = out[blocks:]
         kept.append(y[:, :blocks].reshape(-1, channels)[: len(x)] + direct * x[:, 0])
-    finite = np.isfinite(state).all(axis=0)
-    if not finite.all():
-        name = rec.channel_names[int(np.argmin(finite))]
-        raise PipelineError(f"channel {name!r} holds non-finite samples")
+    check_finite(state, rec.channel_names)
     return replace(rec, fs_hz=fs_out, samples=np.concatenate(kept))
+
+
+def check_finite(values: np.ndarray, channel_names) -> None:
+    """Raise PipelineError naming the first channel whose column of ``values``
+    holds a NaN or infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():  # the fast test; the per-channel reduction only names the channel
+        name = channel_names[int(np.argmin(finite.all(axis=0)))]
+        raise PipelineError(f"channel {name!r} holds non-finite samples")
 
 
 def _block_operators(sos: np.ndarray, q: int, blocks: int, width: int):

@@ -11,8 +11,10 @@ The background is rendered straight into one sample-major float64 array
 in blocks of ``_ROWS`` rows: each block draws its innovations in the
 order of one (samples, channels) draw, and the AR(1) filter state carries
 from block to block, so the samples are the bytes of one whole-array draw
-and filter.  Each response product (template kernel times gain, outer
-topography) is built once per distinct gain and added where it lands.
+and filter.  The rhythm is added in a second pass over the same blocks,
+after the noise, so its phases are drawn where they always were.  Each
+response product (template kernel times gain, outer topography) is built
+once per distinct gain and added where it lands.
 
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
@@ -181,8 +183,11 @@ def synthesize_session(
             )
     if noise.alpha_amp_uv > 0:
         phases = rng.uniform(0.0, 2 * np.pi, n_ch)
-        t = np.arange(n_samples)[:, None] / fs_hz
-        data += noise.alpha_amp_uv * np.sin(2 * np.pi * noise.alpha_freq_hz * t + phases)
+        for r0 in range(0, n_samples, _ROWS):
+            t = np.arange(r0, min(r0 + _ROWS, n_samples))[:, None] / fs_hz
+            data[r0 : r0 + len(t)] += noise.alpha_amp_uv * np.sin(
+                2 * np.pi * noise.alpha_freq_hz * t + phases
+            )
 
     # one jitter draw per flash regardless of settings keeps the RNG
     # stream independent of the blink/template configuration

@@ -19,6 +19,21 @@ small matrices: D' D, the L x L symmetric Toeplitz of onset-pair counts
 Cholesky factor is Rd; D' X, the sum of the L x C windows of X that start
 at the onsets; and Rx, the triangle of a QR of X taken without its Q.
 ``build_toeplitz`` keeps the dense design as the reference.
+
+Rx comes from shifted CholeskyQR3 (Fukaya et al. 2020): three Gram
+products X'X, Q1'Q1 and Q2'Q2, their Cholesky factors and two small
+triangular inverses, with no Householder QR.  Plain CholeskyQR2 is safe
+only up to cond(X) of about eps^-1/2 = 6.7e7; past that X'X need not be
+numerically positive definite, and on the sweep below it wrongly
+rejected cond 1.15e9 and 1.15e11.  A shift of 11 (T C + C (C + 1)) eps/2
+trace(X'X) on the first Gram keeps its Cholesky factor real up to
+cond(X) near 1/eps, and two plain passes take Q1 = X R1^-1 back to
+orthonormal.  On a 2,616 x 64 signal whose last channel is the others'
+mean plus eps-noise, the fit accepts and rejects exactly where a
+Householder triangle does under the same diag(Rx) rule: it fits, with
+the same filters, up to eps = 1e-11 (cond(X) 1.15e11), and rejects from
+eps = 1e-12, an exact duplicate channel and a zero channel
+(``tests/test_xdawn.py``, the conditioning sweep).
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PipelineError, ValidationError
-from .dsp import Recording
+from .dsp import Recording, check_finite
 
 
 @dataclass
@@ -80,6 +95,21 @@ def build_toeplitz(onsets, erp_len: int, total_samples: int) -> np.ndarray:
     return d
 
 
+def _signal_triangle(x: np.ndarray) -> np.ndarray:
+    """Upper triangle R of X = QR, positive on its diagonal, by shifted
+    CholeskyQR3 (Fukaya et al. 2020, SIAM J. Sci. Comput. 42(1)) without the
+    last Q.  A Cholesky factor that does not exist raises ``LinAlgError``."""
+    t_total, n_ch = x.shape
+    gram = x.T @ x
+    shift = 11 * (t_total * n_ch + n_ch * (n_ch + 1)) * np.finfo(float).eps / 2 * np.trace(gram)
+    r1 = np.linalg.cholesky(gram + shift * np.eye(n_ch), upper=True)
+    q1 = x @ np.linalg.inv(r1)
+    r2 = np.linalg.cholesky(q1.T @ q1, upper=True)
+    q2 = q1 @ np.linalg.inv(r2)
+    r3 = np.linalg.cholesky(q2.T @ q2, upper=True)
+    return r3 @ r2 @ r1
+
+
 def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterModel:
     """Estimate spatial filters from a filtered, decimated recording.
 
@@ -97,6 +127,7 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     t_total, n_ch = x.shape
     if t_total <= erp_len or t_total <= n_ch:
         raise ValidationError("recording too short for the ERP window / channel count")
+    check_finite(x, rec.channel_names)
     events = rec.events
     onsets = np.sort(rec.sample_index(events.onset_s[events.is_flash & events.is_target]))
     if len(onsets) < 2:
@@ -110,9 +141,15 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     pair_counts = np.isin(windows, onsets).sum(axis=0)
     dtd = pair_counts[np.abs(lags[:, None] - lags)].astype(float)
     dtx = x[windows].sum(axis=0)
-    rx = np.linalg.qr(x, mode="r")
-    diag = np.abs(np.diag(rx))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+    try:
+        rx = _signal_triangle(x)
+        diag = np.diag(rx)
+        # relative to the largest alone, so no scale of the signal reads as
+        # degenerate; an all-zero signal still does
+        degenerate = not diag.min() > 1e-12 * diag.max()
+    except np.linalg.LinAlgError:
+        degenerate = True
+    if degenerate:
         raise PipelineError("degenerate signal: channel covariance is rank-deficient")
 
     # Qd' Qx = Rd^-T D'X Rx^-1, with Rd^T the Cholesky factor of D'D

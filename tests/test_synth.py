@@ -259,6 +259,8 @@ class TestBackground:
         pytest.param(250.0, 2.0, "below-one-block", id="below-one-block"),
         pytest.param(2000.0, 0.0, "whole-blocks", id="whole-blocks"),
         pytest.param(2000.0, 0.0, "whole-blocks-plus-one", id="whole-blocks-plus-one"),
+        pytest.param(2000.0, 2.0, "whole-blocks", id="whole-blocks-alpha"),
+        pytest.param(2000.0, 2.0, "whole-blocks-plus-one", id="whole-blocks-plus-one-alpha"),
     ])
     def test_same_bytes_as_time_major_filter(self, schedule, fs_hz, alpha_amp_uv, case):
         noise = NoiseModel(background_sigma_uv=0.0 if case == "sigma-0" else 1.5, ar_coeff=0.9,
@@ -281,8 +283,8 @@ class TestBackground:
         assert rec.samples.tobytes() == former.tobytes()
 
     def test_peak_memory_is_the_two_signal_buffers(self):
-        """On the default xp300 session the renderer holds the float64 signal,
-        its float32 copy and no more than 2 MiB besides."""
+        """On the default xp300 session, with the alpha rhythm on, the renderer
+        holds the float64 signal, its float32 copy and no more than 2 MiB besides."""
         import tracemalloc
 
         import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
@@ -296,7 +298,8 @@ class TestBackground:
                                     seed=0)
         tracemalloc.start()
         try:
-            rec = synthesize_session(sched, blink=BlinkModel(), seed=0)
+            rec = synthesize_session(sched, noise=NoiseModel(alpha_amp_uv=2.0),
+                                     blink=BlinkModel(), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

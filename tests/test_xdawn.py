@@ -48,6 +48,39 @@ def oracle_filters(samples, onsets, erp_len, n_f):
     return vals[order], vecs[:, order]
 
 
+def householder_fit(samples, onsets, erp_len, n_f):
+    """The dense Householder reference: QRs of D and X, then the SVD of Qd' Qx.
+
+    None where diag(Rx) fails the fit's degeneracy rule."""
+    qx, rx = np.linalg.qr(samples)
+    diag = np.abs(np.diag(rx))
+    if not diag.min() > 1e-12 * diag.max():
+        return None
+    qd, _ = np.linalg.qr(build_toeplitz(onsets, erp_len, len(samples)))
+    _, lam, psi_t = np.linalg.svd(qd.T @ qx)
+    u = np.linalg.solve(rx, psi_t[:n_f].T)
+    u /= np.linalg.norm(u, axis=0)
+    u *= np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(n_f)])
+    return u, np.minimum(lam[:n_f], 1.0) ** 2
+
+
+def conditioning_case(case):
+    """A 2,616 x 64 signal (the wide-64ch fit's size) of a given conditioning,
+    with fixed onsets.  ``case`` is a float eps, for a last channel that is the
+    mean of the others plus eps-noise, or "duplicate" or "zero" for a channel
+    that copies another or holds zeros."""
+    rng = np.random.default_rng(2616)
+    samples = rng.standard_normal((2616, 64))
+    onsets = np.sort(rng.choice(2616 - 15, size=120, replace=False))
+    if case == "duplicate":
+        samples[:, 5] = samples[:, 4]
+    elif case == "zero":
+        samples[:, 7] = 0.0
+    else:
+        samples[:, -1] = samples[:, :-1].mean(axis=1) + case * rng.standard_normal(2616)
+    return samples, onsets
+
+
 def recording(samples, onsets):
     """A recording of the given samples with target flashes at the given sample indices."""
     names = tuple(f"ch{i}" for i in range(samples.shape[1]))
@@ -231,6 +264,61 @@ class TestFit:
         rec.samples[:, 3] = rec.samples[:, 2]  # exact duplicate channel
         with pytest.raises(PipelineError, match="rank-deficient"):
             fit_xdawn(rec)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_sample_names_channel(self, value):
+        rec, onsets = random_problem(0)
+        samples = rec.samples.copy()
+        samples[600, 2] = value
+        with pytest.raises(PipelineError, match="^channel 'ch2' holds non-finite samples$"):
+            fit_xdawn(recording(samples, onsets))
+
+    @pytest.mark.parametrize("scale", [1e-30, 1e-15, 1e15, 1e30])
+    def test_scale_does_not_change_the_fit(self, scale):
+        rec, onsets = random_problem(0)
+        model = fit_xdawn(rec, n_f=8)
+        scaled = fit_xdawn(recording(rec.samples * scale, onsets), n_f=8)
+        assert np.abs(scaled.u - model.u).max() < 1e-13
+        assert np.abs(scaled.rho - model.rho).max() < 1e-15
+
+    def test_zero_signal_is_degenerate(self):
+        rec, onsets = random_problem(0)
+        with pytest.raises(PipelineError, match="rank-deficient"):
+            fit_xdawn(recording(rec.samples * 0.0, onsets))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "case, fits",
+        [(eps, True) for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11)]
+        + [(eps, False) for eps in (1e-12, 1e-14, 0.0)]
+        + [("duplicate", False), ("zero", False)],
+        ids=lambda case: f"eps={case:g}" if isinstance(case, float) else str(case),
+    )
+    def test_conditioning_sweep_matches_householder(self, case, fits):
+        # the triangle from Gram products must fit and reject where a Householder
+        # QR does, up to cond(X) near 1e11, and give its filters where both fit
+        samples, onsets = conditioning_case(case)
+        reference = householder_fit(samples, onsets, 15, 4)
+        assert (reference is not None) == fits
+        if not fits:
+            with pytest.raises(PipelineError, match="rank-deficient"):
+                fit_xdawn(recording(samples, onsets), n_f=4)
+            return
+        model = fit_xdawn(recording(samples, onsets), n_f=4)
+        s = np.linalg.svd(samples, compute_uv=False)
+        tolerance = 10 * np.finfo(float).eps * s[0] / s[-1]
+        assert np.abs(model.u - reference[0]).max() < tolerance
+        assert np.abs(model.rho - reference[1]).max() < tolerance
+
+    def test_never_calls_householder_qr(self, monkeypatch):
+        def householder(*args, **kwargs):
+            raise AssertionError("fit_xdawn called np.linalg.qr")
+
+        samples, onsets = conditioning_case(1e-2)
+        reference = householder_fit(samples, onsets, 15, 4)
+        monkeypatch.setattr(np.linalg, "qr", householder)
+        model = fit_xdawn(recording(samples, onsets), n_f=4)
+        assert np.abs(model.rho - reference[1]).max() < 1e-12
 
     def test_nf_clamped(self):
         rec, _ = random_problem(5)  # 8 channels, so 8 components at most
