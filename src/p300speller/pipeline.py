@@ -12,7 +12,7 @@ import numpy as np
 from . import blda, decoder, dsp, metrics, xdawn
 from .errors import BundleError, ValidationError
 from .patterns import SpellerMatrix
-from .scheduler import Events, Schedule, slots_per_repetition
+from .scheduler import BLOCKS, Events, Schedule, slots_per_repetition
 
 
 @dataclass
@@ -149,8 +149,31 @@ def schedule_from_bundle(manifest: dict, events: Events) -> Schedule:
             f"{f.repetition[i]}) lies outside the schedule in meta: {chars} characters, "
             f"{reps} repetitions"
         )
-    index = np.ravel_multi_index((f.char_index, f.repetition, f.block, f.flash_id - 1),
-                                 (chars, reps, 2, schedule.n))
+    keys = (f.char_index, f.repetition, f.block, f.flash_id - 1)
+    grid = (chars, reps, 2, schedule.n)
+    # every key once: no fewer flashes than keys here, no two alike below
+    if len(f) < chars * reps * 2 * schedule.n:
+        c, r, b, i = _first_missing(keys, grid)
+        raise BundleError(
+            f"no flash event for character {c}, repetition {r}, {BLOCKS[b]} block, flash id "
+            f"{i + 1} of the schedule in meta: {chars} characters, {reps} repetitions"
+        )
+    index = np.ravel_multi_index(keys, grid)
     if np.unique(index).size < index.size:  # the decoder takes one score per flash
         raise BundleError("two flash events share a character, repetition, block and flash id")
     return schedule
+
+
+def _first_missing(keys, grid) -> tuple[int, ...]:
+    """The first key of ``grid``'s row-major order absent from ``keys``, which
+    are columns of in-grid keys, fewer than the grid holds.  The j-th sorted
+    distinct key is the grid's j-th key until the first gap, so only that
+    many keys are spelled out, never the grid."""
+    present = sorted(set(zip(*(column.tolist() for column in keys))))
+    for j in range(len(present) + 1):
+        rest, key = j, ()
+        for size in reversed(grid):
+            rest, digit = divmod(rest, size)
+            key = (digit,) + key
+        if j == len(present) or present[j] != key:
+            return key

@@ -8,13 +8,18 @@ emulating the attentional-blink penalty that makes rapid double flashes
 hard to detect; that is what separates the two paradigms downstream.
 
 The background is rendered straight into one sample-major float64 array
-in blocks of ``_ROWS`` rows: each block draws its innovations in the
-order of one (samples, channels) draw, and the AR(1) filter state carries
-from block to block, so the samples are the bytes of one whole-array draw
-and filter.  The rhythm is added in a second pass over the same blocks,
-after the noise, so its phases are drawn where they always were.  Each
-response product (template kernel times gain, outer topography) is built
-once per distinct gain and added where it lands.
+in blocks of ``_ROWS`` rows, on two threads: a worker draws the
+innovations of block k + 1 into one of two buffers while the calling
+thread runs the AR(1) filter over block k in the other.  One draw is in
+flight at a time, in block order, and the calling thread leaves the
+generator alone until the last block, so the innovations come in the
+order of one (samples, channels) draw; the filter state carries from
+block to block, so the samples are the bytes of one whole-array draw and
+filter.  Both steps release the GIL, so on two cores they overlap.  The
+rhythm is added in a second pass over the same blocks, after the noise,
+so its phases are drawn where they always were.  Each response product
+(template kernel times gain, outer topography) is built once per
+distinct gain and added where it lands.
 
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
@@ -28,7 +33,10 @@ from .dsp import DEFAULT_CHANNELS, Recording
 from .errors import ValidationError
 from .scheduler import Schedule
 
-_ROWS = 4096  # background rows per block: 256 KiB at 8 channels, so a block stays in cache
+# background rows per block, 1 MiB at 8 channels: each block costs one handoff
+# between the drawing and the filtering thread, and 16,384 rows keep those to
+# 46 in a default xp300 session (4,096 rows took 183 and ran 3-7% slower)
+_ROWS = 16384
 
 
 @dataclass
@@ -168,19 +176,7 @@ def synthesize_session(
 
     data = np.zeros((n_samples, n_ch))
     if noise.background_sigma_uv > 0:
-        from scipy import signal  # here, so that train and eval import no scipy
-
-        # row blocks in the order of one (n_samples, n_ch) draw, the AR(1)
-        # state carried from each block to the next
-        block = np.empty((min(_ROWS, n_samples), n_ch))
-        state = np.zeros((1, n_ch))
-        for r0 in range(0, n_samples, _ROWS):
-            innovations = block[: min(_ROWS, n_samples - r0)]
-            rng.standard_normal(out=innovations)
-            innovations *= noise.background_sigma_uv
-            data[r0 : r0 + len(innovations)], state = signal.lfilter(
-                [1.0], [1.0, -noise.ar_coeff], innovations, axis=0, zi=state
-            )
+        _render_background(data, rng, noise)
     if noise.alpha_amp_uv > 0:
         phases = rng.uniform(0.0, 2 * np.pi, n_ch)
         for r0 in range(0, n_samples, _ROWS):
@@ -217,6 +213,34 @@ def synthesize_session(
         channel_names=channels,
         events=schedule.events,
     )
+
+
+def _render_background(data, rng, noise):
+    """Set ``data`` (samples, channels) to AR(1) noise by the two-thread block
+    loop of the module docstring.  The buffers and the last block die with
+    the call, so they are not alive during the caller's float32 cast."""
+    # here, so that train and eval import neither
+    from concurrent.futures import ThreadPoolExecutor
+
+    from scipy import signal
+
+    def draw(innovations):
+        rng.standard_normal(out=innovations)
+        innovations *= noise.background_sigma_uv
+        return innovations
+
+    n_samples, n_ch = data.shape
+    buffers = np.empty((2, min(_ROWS, n_samples), n_ch))
+    state = np.zeros((1, n_ch))
+    with ThreadPoolExecutor(1) as worker:
+        drawn = worker.submit(draw, buffers[0])
+        for k, r0 in enumerate(range(0, n_samples, _ROWS)):
+            innovations = drawn.result()
+            if r0 + _ROWS < n_samples:
+                drawn = worker.submit(draw, buffers[(k + 1) % 2, : n_samples - r0 - _ROWS])
+            data[r0 : r0 + len(innovations)], state = signal.lfilter(
+                [1.0], [1.0, -noise.ar_coeff], innovations, axis=0, zi=state
+            )
 
 
 def _add_response(data, start, response):

@@ -338,7 +338,8 @@ class TestTrain:
 
 class TestNoScipy:
     def test_train_and_eval_import_no_scipy(self, session_pair, tmp_path):
-        # a fresh interpreter: scipy must not load at import nor inside the commands
+        # a fresh interpreter: scipy, and the thread pool simulate draws its
+        # noise on, must not load at import nor inside the commands
         code = """if True:
             import sys
             from p300speller.cli import main
@@ -346,7 +347,8 @@ class TestNoScipy:
             assert main(["train", "--session", a, "--out", out + "/m"]) == 0
             assert main(["eval", "--train-session", a, "--test-session", b,
                          "--out", out + "/e", "--swap"]) == 0
-            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+            loaded = sorted(name for name in sys.modules
+                            if name.split(".")[0] == "scipy" or name.startswith("concurrent"))
             assert not loaded, loaded
             """
         src = str(Path(pipeline.__file__).resolve().parent.parent)
@@ -630,6 +632,27 @@ class TestCorruptBundles:
         code, _, err = run(argv, capsys)
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    def test_events_short_of_the_schedule_exit_3(self, session_pair, tmp_path, capsys):
+        # the first 60 of 252 lines: character 1's second repetition stops
+        # after four of its six row flashes (ids 6, 4, 1, 2 at seed 2)
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        path = tmp_path / "b" / "events.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:60]))
+        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        assert (code, err) == (3, "i/o error: no flash event for character 1, repetition 1, "
+                                  "row block, flash id 3 of the schedule in meta: 6 characters, "
+                                  "3 repetitions\n")
+
+    @pytest.mark.parametrize("reps", [4, 10**30], ids=["one-more", "1e30"])
+    def test_reps_beyond_the_events_exit_3(self, session_pair, tmp_path, capsys, reps):
+        # 10**30 repetitions overflowed the flash index grid into a traceback
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        _set("meta", "reps", reps)(tmp_path / "b")
+        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        assert (code, err) == (3, "i/o error: no flash event for character 0, repetition 3, "
+                                  "row block, flash id 1 of the schedule in meta: 6 characters, "
+                                  f"{reps} repetitions\n")
 
     def test_manifest_not_json_exits_3(self, session_pair, tmp_path, capsys):
         shutil.copytree(session_pair / "b", tmp_path / "b")

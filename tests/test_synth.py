@@ -1,3 +1,7 @@
+import sys
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -164,6 +168,18 @@ class TestSynthesize:
             expected[start : start + len(kernel)] += np.outer(kernel, np.ones(8))
         assert np.array_equal(rec.samples, expected.astype(np.float32))
 
+    def test_no_samples_rejected(self):
+        # one flash at 0 s and no tail: no rows to draw, and an empty recording
+        from p300speller.errors import ValidationError
+        from p300speller.scheduler import Events, Schedule
+
+        events = Events(make_constrained_pattern(6), onset_s=[0.0], slot=[0], char_index=[0],
+                        repetition=[0], block=[0], flash_id=[1], is_target=[True])
+        sched = Schedule(paradigm="xp300", isi_s=0.2, flash_duration_s=0.1, reps=1,
+                         targets=[(1, 1)], events=events)
+        with pytest.raises(ValidationError, match="non-empty"):
+            synthesize_session(sched, seed=0, tail_s=0.0)
+
     def test_ar_coefficient_validation(self):
         with pytest.raises(Exception, match="stationarity"):
             NoiseModel(ar_coeff=1.0)
@@ -261,6 +277,10 @@ class TestBackground:
         pytest.param(2000.0, 0.0, "whole-blocks-plus-one", id="whole-blocks-plus-one"),
         pytest.param(2000.0, 2.0, "whole-blocks", id="whole-blocks-alpha"),
         pytest.param(2000.0, 2.0, "whole-blocks-plus-one", id="whole-blocks-plus-one-alpha"),
+        # one block: no second draw is submitted; two: the last submit fills
+        # the second buffer, and the filter must read each buffer in turn
+        pytest.param(250.0, 0.0, "one-block", id="one-block"),
+        pytest.param(250.0, 2.0, "two-blocks", id="two-blocks"),
     ])
     def test_same_bytes_as_time_major_filter(self, schedule, fs_hz, alpha_amp_uv, case):
         noise = NoiseModel(background_sigma_uv=0.0 if case == "sigma-0" else 1.5, ar_coeff=0.9,
@@ -268,19 +288,69 @@ class TestBackground:
         kwargs = {}
         if case == "jitter-visual":
             kwargs = {"onset_jitter_s": 0.02, "visual_templates": default_templates(0.5)}
-        if case in ("whole-blocks", "whole-blocks-plus-one"):
-            last = schedule.events.onset_s.max()
-            n = (int(last * fs_hz) // synth._ROWS + 2) * synth._ROWS + (case != "whole-blocks")
+        last = schedule.events.onset_s.max()
+        whole = (int(last * fs_hz) // synth._ROWS + 2) * synth._ROWS
+        n = {"whole-blocks": whole, "whole-blocks-plus-one": whole + 1,
+             "one-block": synth._ROWS, "two-blocks": 2 * synth._ROWS}.get(case)
+        if n is not None:
             kwargs = {"tail_s": n / fs_hz - last}
         rec = synthesize_session(schedule, noise=noise, blink=BlinkModel(), fs_hz=fs_hz,
                                  seed=11, **kwargs)
         assert rec.samples.flags.c_contiguous and rec.samples.dtype == np.float32
-        if "tail_s" in kwargs:
-            assert rec.n_samples == n and n // synth._ROWS >= 3
+        if n is not None:
+            assert rec.n_samples == n
+        if case in ("whole-blocks", "whole-blocks-plus-one"):
+            assert n // synth._ROWS >= 3
         if case == "below-one-block":
             assert rec.n_samples < synth._ROWS
         former = whole_array_render(schedule, noise, fs_hz, seed=11, **kwargs)
         assert rec.samples.tobytes() == former.tobytes()
+
+    def test_leaves_no_thread_running(self, schedule, monkeypatch):
+        """The drawing thread ends with the session, also when a draw fails;
+        the failure is raised in the caller."""
+        before = threading.active_count()
+        synthesize_session(schedule, seed=3)
+        assert threading.active_count() == before
+
+        class FailingDraw:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 2:
+                    raise MemoryError("draw failed")
+                return self.rng.standard_normal(out=out)
+
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingDraw(default_rng(seed)))
+        with pytest.raises(MemoryError, match="draw failed"):
+            synthesize_session(schedule, seed=3)
+        assert threading.active_count() == before
+
+    def test_same_bytes_under_thread_stress(self, schedule):
+        """Four sessions at once, each with its drawing thread, on a switch
+        interval of a microsecond: a block filtered before its draw is done,
+        or drawn into the buffer being filtered, changes the bytes."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        noise = NoiseModel(background_sigma_uv=1.5, ar_coeff=0.9)
+        tail_s = 4 * synth._ROWS / 250.0 - schedule.events.onset_s.max()
+        render = partial(synthesize_session, schedule, noise=noise, blink=BlinkModel(),
+                         fs_hz=250.0, tail_s=tail_s)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                recs = [future.result(timeout=120)
+                        for future in [pool.submit(render, seed=seed) for seed in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, rec in enumerate(recs):
+            assert rec.n_samples == 4 * synth._ROWS
+            former = whole_array_render(schedule, noise, 250.0, seed=seed, tail_s=tail_s)
+            assert rec.samples.tobytes() == former.tobytes()
 
     def test_peak_memory_is_the_two_signal_buffers(self):
         """On the default xp300 session, with the alpha rhythm on, the renderer
