@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import metrics, patterns, pipeline, scheduler, session_io, synth
+from . import dsp, metrics, patterns, pipeline, scheduler, session_io, synth
 from .blda import BldaModel
 from .decoder import decisions_csv
 from .errors import BundleError, PipelineError, ValidationError
@@ -83,6 +83,7 @@ class RunConfig:
             raise ValidationError(f"paradigm must be {CP300!r} or {XP300!r}")
         if self.synth.fs_hz <= 2 * self.pipeline.high_hz:
             raise ValidationError("synth fs_hz must exceed twice the bandpass upper edge")
+        dsp._decimation_factor(self.synth.fs_hz, self.pipeline.fs_out_hz)
 
 
 def load_config(args) -> RunConfig:

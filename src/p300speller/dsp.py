@@ -238,8 +238,8 @@ def _decimation_factor(fs_in: float, fs_out: float) -> int:
     """The integer q = fs_in / fs_out; anything else is a ValidationError."""
     if not fs_out > 0:
         raise ValidationError(f"output rate fs_out must be positive, got {fs_out}")
-    factor = fs_in / fs_out
-    if abs(factor - round(factor)) > 1e-9 or factor < 1:
+    factor = fs_in / fs_out  # inf for a tiny fs_out, which round() cannot take
+    if not 1 <= factor < np.inf or abs(factor - round(factor)) > 1e-9:
         raise ValidationError(
             f"sampling rate {fs_in} Hz is not an integer multiple of {fs_out} Hz"
         )

@@ -8,18 +8,19 @@ emulating the attentional-blink penalty that makes rapid double flashes
 hard to detect; that is what separates the two paradigms downstream.
 
 The background is rendered straight into one sample-major float64 array
-in blocks of ``_ROWS`` rows, on two threads: a worker draws the
-innovations of block k + 1 into one of two buffers while the calling
-thread runs the AR(1) filter over block k in the other.  One draw is in
-flight at a time, in block order, and the calling thread leaves the
-generator alone until the last block, so the innovations come in the
-order of one (samples, channels) draw; the filter state carries from
-block to block, so the samples are the bytes of one whole-array draw and
-filter.  Both steps release the GIL, so on two cores they overlap.  The
-rhythm is added in a second pass over the same blocks, after the noise,
-so its phases are drawn where they always were.  Each response product
-(template kernel times gain, outer topography) is built once per
-distinct gain and added where it lands.
+in blocks of ``_ROWS`` rows, on two threads.  A worker is handed every
+block's draw up front, each into the block's own rows; the calling
+thread takes the blocks in order, waits for each draw and runs the AR(1)
+filter over the block in place, the noise scale as its numerator.  One
+worker runs its queue in order and the calling thread leaves the
+generator alone until the last draw is done, so the innovations are
+those of one (samples, channels) draw, and the filter state carries from
+block to block: the samples are the bytes of one whole-array draw,
+scaling and filter.  Both steps release the GIL, so on two cores they
+overlap.  The rhythm is added in a second pass over the same blocks,
+after the noise, so its phases are drawn where they always were.  Each
+response product (template kernel times gain, outer topography) is built
+once per distinct gain and added where it lands.
 
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
@@ -33,9 +34,9 @@ from .dsp import DEFAULT_CHANNELS, Recording
 from .errors import ValidationError
 from .scheduler import Schedule
 
-# background rows per block, 1 MiB at 8 channels: each block costs one handoff
-# between the drawing and the filtering thread, and 16,384 rows keep those to
-# 46 in a default xp300 session (4,096 rows took 183 and ran 3-7% slower)
+# background rows per block, 1 MiB at 8 channels: each block costs a draw call,
+# an lfilter call and a wait on the worker, and 16,384 rows keep those to 46 in
+# a default xp300 session (4,096 rows took 183 and were no faster)
 _ROWS = 16384
 
 
@@ -216,30 +217,21 @@ def synthesize_session(
 
 
 def _render_background(data, rng, noise):
-    """Set ``data`` (samples, channels) to AR(1) noise by the two-thread block
-    loop of the module docstring.  The buffers and the last block die with
-    the call, so they are not alive during the caller's float32 cast."""
+    """Set ``data`` (samples, channels) to AR(1) noise by the queued block
+    loop of the module docstring."""
     # here, so that train and eval import neither
     from concurrent.futures import ThreadPoolExecutor
 
     from scipy import signal
 
-    def draw(innovations):
-        rng.standard_normal(out=innovations)
-        innovations *= noise.background_sigma_uv
-        return innovations
-
-    n_samples, n_ch = data.shape
-    buffers = np.empty((2, min(_ROWS, n_samples), n_ch))
-    state = np.zeros((1, n_ch))
+    blocks = [data[r0 : r0 + _ROWS] for r0 in range(0, len(data), _ROWS)]
+    state = np.zeros((1, data.shape[1]))
     with ThreadPoolExecutor(1) as worker:
-        drawn = worker.submit(draw, buffers[0])
-        for k, r0 in enumerate(range(0, n_samples, _ROWS)):
-            innovations = drawn.result()
-            if r0 + _ROWS < n_samples:
-                drawn = worker.submit(draw, buffers[(k + 1) % 2, : n_samples - r0 - _ROWS])
-            data[r0 : r0 + len(innovations)], state = signal.lfilter(
-                [1.0], [1.0, -noise.ar_coeff], innovations, axis=0, zi=state
+        draws = [worker.submit(rng.standard_normal, out=block) for block in blocks]
+        for block, draw in zip(blocks, draws):
+            draw.result()
+            block[:], state = signal.lfilter(
+                [noise.background_sigma_uv], [1.0, -noise.ar_coeff], block, axis=0, zi=state
             )
 
 

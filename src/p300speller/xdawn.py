@@ -1,10 +1,10 @@
 """Spatial filter estimation that maximizes the evoked-response ratio.
 
 The evoked response is modelled as a fixed waveform added at every target
-onset: X = D A + noise, where D is a T x L 0/1 Toeplitz-structured design
-(one shifted copy of the onset indicator per waveform sample) and A the
-L x C waveform.  With A estimated by least squares, the spatial filters u
-maximize the Rayleigh quotient
+onset: X = D A + noise, where D is a T x L Toeplitz-structured count
+design (entry (t, l) counts the onsets at t - l, so two responses that
+start at one sample add up) and A the L x C waveform.  With A estimated
+by least squares, the spatial filters u maximize the Rayleigh quotient
 
     rho(u) = ||D A u||^2 / ||X u||^2.
 
@@ -14,10 +14,10 @@ singular vectors of Qd' Qx therefore solve the problem, and the singular
 values are cosines of principal angles, so every rho lies in [0, 1].
 
 Neither D nor Qd is formed.  Qd' Qx = Rd^-T (D' X) Rx^-1 needs three
-small matrices: D' D, the L x L symmetric Toeplitz of onset-pair counts
-(entry (i, j) counts the onsets o with o + |i - j| also an onset), whose
-Cholesky factor is Rd; D' X, the sum of the L x C windows of X that start
-at the onsets; and Rx, the triangle of a QR of X taken without its Q.
+small matrices: D' D, the L x L symmetric Toeplitz of the onset counts'
+autocorrelation (entry (i, j) sums the onsets at o + |i - j| over the
+onsets o), whose Cholesky factor is Rd; D' X, the sum of the L x C
+windows of X at the onsets; and Rx, the triangle of a QR of X.
 ``build_toeplitz`` keeps the dense design as the reference.
 
 Rx comes from shifted CholeskyQR3 (Fukaya et al. 2020): three Gram
@@ -72,10 +72,10 @@ class SpatialFilterModel:
 
 
 def _check_onsets(onsets, erp_len: int, total_samples: int) -> np.ndarray:
-    """The onsets as ints, checked sorted, distinct and with their ERP windows inside."""
+    """The onsets as ints, checked sorted and with their ERP windows inside."""
     onsets = np.asarray(onsets, dtype=int)
-    if onsets.size and (np.any(np.diff(onsets) <= 0)):
-        raise ValidationError("onsets must be sorted and distinct")
+    if onsets.size and (np.any(np.diff(onsets) < 0)):
+        raise ValidationError("onsets must be sorted")
     if onsets.size and onsets.min() < 0:
         raise ValidationError(f"onset {int(onsets.min())} lies before the recording")
     if onsets.size and onsets.max() + erp_len > total_samples:
@@ -87,11 +87,11 @@ def _check_onsets(onsets, erp_len: int, total_samples: int) -> np.ndarray:
 
 
 def build_toeplitz(onsets, erp_len: int, total_samples: int) -> np.ndarray:
-    """T x L 0/1 design: d[t, l] = 1 iff t = onset + l for some onset."""
+    """T x L count design: d[t, l] is the number of onsets at t - l."""
     onsets = _check_onsets(onsets, erp_len, total_samples)
     d = np.zeros((total_samples, erp_len))
     lags = np.arange(erp_len)
-    d[onsets[:, None] + lags, lags] = 1.0
+    np.add.at(d, (onsets[:, None] + lags, lags), 1.0)
     return d
 
 
@@ -136,9 +136,9 @@ def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterM
     onsets = _check_onsets(onsets, erp_len, t_total)
     lags = np.arange(erp_len)
     windows = onsets[:, None] + lags
-    # D'D[i, j] counts onsets o with o + |i - j| also an onset; it is positive
-    # definite, since sorted, distinct, in-range onsets give D full column rank
-    pair_counts = np.isin(windows, onsets).sum(axis=0)
+    # D'D[i, j] sums the onsets at o + |i - j| over the onsets o; it is positive
+    # definite, since any in-range onsets give D full column rank
+    pair_counts = np.bincount(onsets, minlength=t_total)[windows].sum(axis=0)
     dtd = pair_counts[np.abs(lags[:, None] - lags)].astype(float)
     dtx = x[windows].sum(axis=0)
     try:

@@ -128,7 +128,9 @@ class TestSimulate:
         ('{"n": 6,\n', "{cfg}: invalid JSON at line 2"),
         ('[{"n": 6}]', "{cfg}: config must be a JSON object"),
         ('{"synth": {"fs_hz": 20}}', "synth fs_hz must exceed twice the bandpass upper edge"),
-    ], ids=["not-json", "array", "rate-below-band"])
+        ('{"synth": {"fs_hz": 250.5}}',
+         "sampling rate 250.5 Hz is not an integer multiple of 25.0 Hz"),
+    ], ids=["not-json", "array", "rate-below-band", "rate-not-decimable"])
     def test_unusable_config_exits_2(self, tmp_path, capsys, raw, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(raw)
@@ -161,7 +163,8 @@ class TestSimulate:
          {"synth": {"onset_jitter_s": -1}}, {"inter_char_gap_s": -1},
          {"flash_duration_s": -0.05}, {"isi_s": float("nan")}, {"synth": {"fs_hz": float("inf")}},
          {"synth": {"background_sigma_uv": -1}}, {"synth": {"alpha_amp_uv": -1}},
-         {"synth": {"visual_response_scale": -1}}, {"n": 7}],
+         {"synth": {"visual_response_scale": -1}}, {"n": 7},
+         {"pipeline": {"fs_out_hz": 1e-320}}],
     )
     def test_out_of_range_config_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -283,7 +286,7 @@ class TestTrain:
         [({"fs_out_hz": 0}, "fs_out"), ({"filter_order": 0}, "order"), ({"n_f": -1}, "n_f"),
          ({"n_f": 0}, "n_f"), ({"window_s": 0}, "ERP window"), ({"window_s": -1}, "ERP window"),
          ({"window_s": 5}, "ERP window"), ({"blda_max_iter": 0}, "max_iter"),
-         ({"blda_tol": -1}, "tol")],
+         ({"blda_tol": -1}, "tol"), ({"fs_out_hz": 1e-320}, "not an integer multiple")],
     )
     def test_out_of_range_pipeline_exits_2(self, session_pair, tmp_path, capsys, pipeline, message):
         cfg = tmp_path / "cfg.json"
@@ -414,6 +417,26 @@ class TestEval:
             assert code == 0
             outs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert outs[0] == outs[1]
+
+
+class TestCoincidentTargets:
+    """At a 20 ms ISI two target flashes can round to one 25 Hz sample; the
+    xDAWN design counts both responses there, so the bundle trains."""
+
+    @pytest.mark.parametrize("paradigm", ["cp300", "xp300"])
+    def test_short_isi_trains_and_evaluates(self, tmp_path, capsys, paradigm):
+        for name, seed in (("a", 4), ("b", 3)):
+            argv = ["simulate", "--paradigm", paradigm, "--isi", "0.02", "--seed", str(seed),
+                    "--out", str(tmp_path / name)]
+            assert main(argv + FAST_SIM) == 0
+        events = read_session(tmp_path / "a").events
+        onsets = np.sort(np.rint(events.onset_s[events.is_flash & events.is_target] * 25.0))
+        assert np.any(np.diff(onsets) == 0)
+        capsys.readouterr()
+        for argv in (["train", "--session", str(tmp_path / "a"), "--out", str(tmp_path / "m")],
+                     eval_argv(tmp_path / "a", tmp_path / "b", tmp_path / "e")):
+            code, _, err = run(argv, capsys)
+            assert (code, err) == (0, "")
 
 
 def eval_argv(train, test, out, swap=True):

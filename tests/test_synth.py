@@ -277,8 +277,8 @@ class TestBackground:
         pytest.param(2000.0, 0.0, "whole-blocks-plus-one", id="whole-blocks-plus-one"),
         pytest.param(2000.0, 2.0, "whole-blocks", id="whole-blocks-alpha"),
         pytest.param(2000.0, 2.0, "whole-blocks-plus-one", id="whole-blocks-plus-one-alpha"),
-        # one block: no second draw is submitted; two: the last submit fills
-        # the second buffer, and the filter must read each buffer in turn
+        # one block: a queue of one draw; two: both draws are queued before
+        # the first block is filtered
         pytest.param(250.0, 0.0, "one-block", id="one-block"),
         pytest.param(250.0, 2.0, "two-blocks", id="two-blocks"),
     ])
@@ -306,12 +306,17 @@ class TestBackground:
         former = whole_array_render(schedule, noise, fs_hz, seed=11, **kwargs)
         assert rec.samples.tobytes() == former.tobytes()
 
-    def test_leaves_no_thread_running(self, schedule, monkeypatch):
-        """The drawing thread ends with the session, also when a draw fails;
-        the failure is raised in the caller."""
+    def test_leaves_no_thread_running(self, schedule):
+        """The drawing thread ends with the session."""
         before = threading.active_count()
         synthesize_session(schedule, seed=3)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [1, 2, 4], ids=["first", "middle", "last"])
+    def test_failed_draw_leaves_no_thread_running(self, schedule, monkeypatch, failing):
+        """A session of four blocks, the last of one row, whose first, a middle
+        or the last draw fails: the failure is raised in the caller, and the
+        drawing thread ends."""
 
         class FailingDraw:
             def __init__(self, rng):
@@ -319,20 +324,22 @@ class TestBackground:
 
             def standard_normal(self, out):
                 self.draws += 1
-                if self.draws == 2:
+                if self.draws == failing:
                     raise MemoryError("draw failed")
                 return self.rng.standard_normal(out=out)
 
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingDraw(default_rng(seed)))
+        before = threading.active_count()
+        tail_s = (3 * synth._ROWS + 1) / 2000.0 - schedule.events.onset_s.max()
         with pytest.raises(MemoryError, match="draw failed"):
-            synthesize_session(schedule, seed=3)
+            synthesize_session(schedule, seed=3, tail_s=tail_s)
         assert threading.active_count() == before
 
     def test_same_bytes_under_thread_stress(self, schedule):
         """Four sessions at once, each with its drawing thread, on a switch
-        interval of a microsecond: a block filtered before its draw is done,
-        or drawn into the buffer being filtered, changes the bytes."""
+        interval of a microsecond: a block filtered before its draw is done
+        changes the bytes."""
         from concurrent.futures import ThreadPoolExecutor
 
         noise = NoiseModel(background_sigma_uv=1.5, ar_coeff=0.9)

@@ -111,17 +111,22 @@ class TestToeplitz:
         with pytest.raises(ValidationError, match="too close"):
             build_toeplitz([6], erp_len=3, total_samples=8)
 
+    def test_repeated_onsets_count(self):
+        design = build_toeplitz([1, 1, 2], erp_len=2, total_samples=5)
+        assert design.tolist() == [[0, 0], [2, 0], [1, 2], [0, 1], [0, 0]]
+
     def test_unsorted_rejected(self):
         with pytest.raises(ValidationError, match="sorted"):
             build_toeplitz([5, 1], erp_len=2, total_samples=10)
 
     @pytest.mark.parametrize(
-        "onsets", [list(range(0, 26)), [25], [0, 25]], ids=["adjacent", "last", "first-last"]
+        "onsets", [list(range(0, 26)), [25], [0, 25], [3, 3, 4, 25, 25, 25]],
+        ids=["adjacent", "last", "first-last", "repeated"],
     )
     def test_full_column_rank(self, onsets):
         # fit_xdawn takes the Cholesky factor of D'D without a rank fallback:
-        # any admitted onsets (sorted, distinct, in range) give full column rank,
-        # down to adjacent onsets and an onset at T - L
+        # any admitted onsets (sorted, in range) give full column rank, down to
+        # adjacent and repeated onsets and an onset at T - L
         design = build_toeplitz(onsets, erp_len=15, total_samples=40)
         diag = np.abs(np.diag(np.linalg.qr(design)[1]))
         assert diag.min() >= 1e-12 * diag.max()
@@ -197,10 +202,12 @@ class TestFit:
         extra=st.integers(0, 3000),
         n_random=st.integers(0, 60),
         runs=st.lists(st.tuples(st.floats(0, 1), st.integers(1, 60)), max_size=4),
+        repeats=st.sampled_from([0, 1, 5, 40]),
     )
-    def test_matches_dense_reference(self, seed, erp_len, n_ch, extra, n_random, runs):
+    def test_matches_dense_reference(self, seed, erp_len, n_ch, extra, n_random, runs, repeats):
         # random onsets mixed with runs of consecutive onsets, which overlap most
-        # and give the worst-conditioned D'D
+        # and give the worst-conditioned D'D, and with onsets repeated, as two
+        # flashes that round to one output sample are
         t_total = min(3000, 2 * max(erp_len, n_ch) + extra)
         last = t_total - erp_len
         rng = np.random.default_rng(seed)
@@ -209,8 +216,9 @@ class TestFit:
             first = int(start * last)
             picked.append(np.arange(first, min(first + length, last + 1)))
         onsets = np.unique(np.concatenate(picked))
-        assume(onsets.size >= 2)
+        assume(onsets.size + repeats >= 2 and onsets.size >= 1)
         samples = rng.standard_normal((t_total, n_ch))
+        onsets = np.sort(np.concatenate([onsets, rng.choice(onsets, size=repeats)]))
         model = fit_xdawn(recording(samples, onsets), erp_len=erp_len, n_f=n_ch)
         assert model.n_f == min(erp_len, n_ch)
         vals, vecs = oracle_filters(samples, onsets, erp_len, n_ch)
@@ -237,7 +245,6 @@ class TestFit:
     @pytest.mark.parametrize(
         "onsets, message",
         [
-            ([3, 40, 40, 90], "onsets must be sorted and distinct"),
             ([-1, 40, 90], "onset -1 lies before the recording"),
             (
                 [3, 40, 1186],
@@ -245,13 +252,22 @@ class TestFit:
                 "the end of the recording (1200 samples)",
             ),
         ],
-        ids=["duplicate", "before-start", "past-end"],
+        ids=["before-start", "past-end"],
     )
     def test_onset_checks(self, onsets, message):
         rec, _ = random_problem(0)
         rec.events = target_flashes(np.array(onsets) / FS)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             fit_xdawn(rec, erp_len=15)
+
+    def test_repeated_onsets_fit(self):
+        # two target flashes that round to one sample add two responses there
+        rec, onsets = random_problem(0)
+        onsets = np.sort(np.concatenate([onsets, onsets[::3], onsets[:2]]))
+        rec.events = target_flashes(onsets / FS)
+        model = fit_xdawn(rec, erp_len=15, n_f=4)
+        vals, _ = oracle_filters(rec.samples, onsets, 15, 4)
+        assert np.abs(model.rho - vals).max() < 1e-8
 
     def test_too_few_targets(self):
         rec, _ = random_problem(0)
