@@ -90,8 +90,10 @@ def fit_blda(features, labels, tol: float = 1e-6, max_iter: int = 200) -> BldaMo
         gamma = float(np.sum(beta * feat_eigs / (beta * feat_eigs + alpha)))
         weight_norm = float(m[:n_feat] @ m[:n_feat])
         residual = t - g.T @ m
-        alpha_new = gamma / weight_norm
-        beta_new = (n_examples - gamma) / float(residual @ residual)
+        rss = float(residual @ residual)
+        if not min(weight_norm, rss) > 0:  # identical epochs: no update to take
+            break
+        alpha_new, beta_new = gamma / weight_norm, (n_examples - gamma) / rss
         if not (np.isfinite(alpha_new) and np.isfinite(beta_new)) or min(alpha_new, beta_new) <= 0:
             break
         done = (

@@ -81,9 +81,9 @@ class RunConfig:
         """Checks no builder makes; the pattern and schedule builders own the rest."""
         if self.paradigm not in (CP300, XP300):
             raise ValidationError(f"paradigm must be {CP300!r} or {XP300!r}")
-        if self.synth.fs_hz <= 2 * self.pipeline.high_hz:
-            raise ValidationError("synth fs_hz must exceed twice the bandpass upper edge")
-        dsp._decimation_factor(self.synth.fs_hz, self.pipeline.fs_out_hz)
+        band = self.pipeline  # simulate writes no bundle train rejects for its band or rate
+        dsp.design_bandpass(self.synth.fs_hz, band.low_hz, band.high_hz, band.filter_order)
+        dsp._decimation_factor(self.synth.fs_hz, band.fs_out_hz)
 
 
 def load_config(args) -> RunConfig:

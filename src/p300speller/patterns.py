@@ -13,7 +13,7 @@ selections from the table.
 All grid coordinates and flash indices are 1-based.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,12 +128,7 @@ class PatternReport:
 
 def make_rc_pattern(n: int) -> FlashPattern:
     """Classical pattern: flash f lights row f (row block) or column f."""
-    if n < 2:
-        raise ValidationError(f"grid dimension must be >= 2, got {n}")
-    idx = np.arange(1, n + 1)
-    r_hat = np.repeat(idx[:, None], n, axis=1)
-    c_hat = np.repeat(idx[None, :], n, axis=0)
-    return FlashPattern(n=n, kind="classical", r_hat=r_hat, c_hat=c_hat)
+    return replace(make_permuted_pattern(n, np.arange(1, n * n + 1)), kind="classical")
 
 
 def make_permuted_pattern(n: int, v) -> FlashPattern:
@@ -146,13 +141,9 @@ def make_permuted_pattern(n: int, v) -> FlashPattern:
     """
     if n < 2:
         raise ValidationError(f"grid dimension must be >= 2, got {n}")
-    v = np.asarray(v, dtype=int)
-    if v.shape != (n * n,) or not np.array_equal(np.sort(v), np.arange(1, n * n + 1)):
-        raise ValidationError("v is not a permutation of 1..n^2")
-    src = v - 1  # 0-based rank of the classical cell each cell maps to
-    r_hat = (src // n + 1).reshape(n, n)
-    c_hat = (src % n + 1).reshape(n, n)
-    return FlashPattern(n=n, kind="permuted", r_hat=r_hat, c_hat=c_hat)
+    src = _as_permutation(n * n, v, "v", None) - 1  # 0-based rank of each cell's classical cell
+    row, col = np.divmod(src.reshape(n, n), n)
+    return FlashPattern(n=n, kind="permuted", r_hat=row + 1, c_hat=col + 1)
 
 
 def make_constrained_pattern(n: int, pi_r=None, pi_c=None, rng=None) -> FlashPattern:

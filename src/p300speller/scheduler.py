@@ -14,9 +14,13 @@ Onsets are laid out on a global grid of ISI slots; every event records
 its integer slot so interval statistics stay exact multiples of the ISI.
 The events of a session form one ``Events`` table of numpy columns; which
 cells a flash lights is a fact of its ``FlashPattern``, kept only there.
+A ``Schedule`` checks every rule of a schedule when made, here or from a
+bundle; ``Schedule.target_flags`` is the one source of ``is_target``.
 """
 
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,7 +97,8 @@ def slots_per_repetition(paradigm: str, n: int) -> int:
 
 @dataclass
 class Schedule:
-    """Time-ordered stimulus events for one copy-spelling session."""
+    """Time-ordered stimulus events for one copy-spelling session; the constructor checks
+    every rule of a schedule, but not that the events hold all of its flashes."""
 
     paradigm: str
     isi_s: float
@@ -102,6 +107,38 @@ class Schedule:
     targets: list[tuple[int, int]]
     events: Events
     inter_char_gap_s: float = 0.0
+
+    def __post_init__(self):
+        n, isi, dur, gap = self.n, self.isi_s, self.flash_duration_s, self.inter_char_gap_s
+        slots_per_repetition(self.paradigm, n)  # rejects an unknown paradigm
+        if not self.reps >= 1:  # each rule is written so that NaN fails it
+            raise ValidationError(f"repetitions must be >= 1, got {self.reps}")
+        if not 0 < isi < math.inf:
+            raise ValidationError(f"ISI must be positive and finite, got {isi}")
+        if not 0 < dur <= isi:
+            raise ValidationError(f"flash duration must lie in (0, ISI], got {dur}")
+        if not 0 <= gap < math.inf:
+            raise ValidationError(f"inter-character gap must be finite and >= 0, got {gap}")
+        targets = self.targets = [(operator.index(r), operator.index(c)) for r, c in self.targets]
+        if not targets:
+            raise ValidationError("target list is empty: nothing to schedule")
+        for r, c in targets:
+            if not (1 <= r <= n and 1 <= c <= n):
+                raise ValidationError(f"target cell ({r}, {c}) outside the {n}x{n} grid")
+        e, flash = self.events, self.events.is_flash  # columns by mask: no copy of the table
+        char, rep, flags = e.char_index[flash], e.repetition[flash], e.is_target[flash]
+        inside = (0 <= char) & (char < len(targets)) & (0 <= rep) & (rep < self.reps)
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise ValidationError(f"flash event in slot {e.slot[flash][i]} (character {char[i]}, "
+                                  f"repetition {rep[i]}) lies outside the schedule: "
+                                  f"{len(targets)} characters, {self.reps} repetitions")
+        wrong = flags != self.target_flags(char, e.block[flash], e.flash_id[flash])
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise ValidationError(f"flash event in slot {e.slot[flash][i]} has is_target "
+                                  f"{flags[i]}, but character {char[i]}'s target cell is "
+                                  f"{targets[char[i]]}")
 
     @property
     def pattern(self) -> FlashPattern:
@@ -114,6 +151,13 @@ class Schedule:
     @property
     def slots_per_repetition(self) -> int:
         return slots_per_repetition(self.paradigm, self.n)
+
+    def target_flags(self, char_index, block, flash_id) -> np.ndarray:
+        """The ``is_target`` column of these events: whether each is a flash
+        (``block`` >= 0) that lights its character's target cell."""
+        p, (rows, cols) = self.pattern, np.array(self.targets).T - 1
+        target_flash = np.stack([p.r_hat[rows, cols], p.c_hat[rows, cols]], axis=1)
+        return (block >= 0) & (flash_id == target_flash[char_index, block.clip(0)])
 
 
 @dataclass(frozen=True)
@@ -162,28 +206,12 @@ def make_xp300_schedule(
 
 
 def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, gap_s):
-    if reps < 1:
-        raise ValidationError(f"repetitions must be >= 1, got {reps}")
-    if isi_s <= 0:
-        raise ValidationError(f"ISI must be positive, got {isi_s}")
     if flash_duration_s is None:
         flash_duration_s = isi_s / 2.0
-    if flash_duration_s > isi_s:
-        raise ValidationError("flash duration cannot exceed the ISI")
-    if flash_duration_s <= 0:
-        raise ValidationError(f"flash duration must be positive, got {flash_duration_s}")
-    if gap_s < 0:
-        raise ValidationError(f"inter-character gap must be >= 0, got {gap_s}")
-    targets = [(int(r), int(c)) for r, c in targets]
-    if not targets:
-        raise ValidationError("target list is empty: nothing to schedule")
-    for r, c in targets:
-        if not (1 <= r <= p.n and 1 <= c <= p.n):
-            raise ValidationError(f"target cell ({r}, {c}) outside the {p.n}x{p.n} grid")
-
-    rng = np.random.default_rng(seed)
-    n = p.n
-    plans = len(targets) * reps  # one shuffled plan per repetition, in time order
+    schedule = Schedule(paradigm, isi_s, flash_duration_s, reps, targets,
+                        Events(p, *[[]] * len(COLUMNS)), gap_s)  # checked before any draw
+    rng, n = np.random.default_rng(seed), p.n
+    plans = len(schedule.targets) * reps  # one shuffled plan per repetition, in time order
     if paradigm == CP300:
         order = np.concatenate([rng.permutation(2 * n) for _ in range(plans)])
         block, flash_id = order // n, order % n + 1
@@ -195,9 +223,6 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
     slot = np.arange(block.size)
     per_rep = slots_per_repetition(paradigm, n)
     char_index = slot // (reps * per_rep)
-    # the row-block and column-block flash that light each character's target
-    rows, cols = np.array(targets).T - 1
-    target_flash = np.stack([p.r_hat[rows, cols], p.c_hat[rows, cols]], axis=1)
     events = Events(
         pattern=p,
         onset_s=slot * isi_s + char_index * gap_s,
@@ -206,17 +231,9 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
         repetition=slot // per_rep % reps,
         block=block,
         flash_id=flash_id,
-        is_target=(block >= 0) & (flash_id == target_flash[char_index, block.clip(0)]),
+        is_target=schedule.target_flags(char_index, block, flash_id),
     )
-    return Schedule(
-        paradigm=paradigm,
-        isi_s=isi_s,
-        flash_duration_s=flash_duration_s,
-        reps=reps,
-        targets=targets,
-        events=events,
-        inter_char_gap_s=gap_s,
-    )
+    return replace(schedule, events=events)
 
 
 def target_interval_stats(s: Schedule, threshold_s: float = 0.0) -> IntervalStats:

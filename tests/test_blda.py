@@ -109,6 +109,16 @@ class TestFit:
         assert (m.iterations, m.converged) == (17, False)
         assert np.isfinite(m.w).all() and m.alpha > 0 and m.beta > 0
 
+    @pytest.mark.parametrize("value", [0.0, 3.0])
+    def test_identical_rows_stop_unconverged(self, value):
+        """Identical rows carry no evidence: the weight norm or the residual
+        sum of squares reaches zero, and the fit stops there instead of
+        dividing by it."""
+        labels = np.arange(24) % 6 == 0
+        m = fit_blda(np.full((24, 5), value), labels)
+        assert not m.converged
+        assert np.isfinite(m.w).all() and m.alpha > 0 and m.beta > 0
+
     def test_scale_invariant_ranking(self):
         x, labels = oddball_problem(6)
         holdout, _ = oddball_problem(7)

@@ -127,10 +127,13 @@ class TestSimulate:
     @pytest.mark.parametrize("raw, message", [
         ('{"n": 6,\n', "{cfg}: invalid JSON at line 2"),
         ('[{"n": 6}]', "{cfg}: config must be a JSON object"),
-        ('{"synth": {"fs_hz": 20}}', "synth fs_hz must exceed twice the bandpass upper edge"),
+        ('{"synth": {"fs_hz": 20}}', "high band edge 12.5 Hz is at or above Nyquist (10.0 Hz)"),
         ('{"synth": {"fs_hz": 250.5}}',
          "sampling rate 250.5 Hz is not an integer multiple of 25.0 Hz"),
-    ], ids=["not-json", "array", "rate-below-band", "rate-not-decimable"])
+        ('{"pipeline": {"low_hz": 20.0}}', "need 0 < low_hz < high_hz"),
+        ('{"pipeline": {"filter_order": 0}}', "filter order must be >= 1, got 0"),
+    ], ids=["not-json", "array", "rate-below-band", "rate-not-decimable", "low-above-high",
+            "order-0"])
     def test_unusable_config_exits_2(self, tmp_path, capsys, raw, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(raw)
@@ -439,6 +442,23 @@ class TestCoincidentTargets:
             assert (code, err) == (0, "")
 
 
+class TestIdenticalEpochs:
+    """At a 1 ns ISI every flash onset rounds to the first 25 Hz sample, so
+    all epochs are alike: BLDA stops unconverged instead of dividing by a
+    zero weight norm."""
+
+    def test_train_and_eval_exit_0(self, tmp_path, capsys):
+        argv = ["simulate", "--out", str(tmp_path / "f"), "--seed", "5", "--reps", "1",
+                "--targets", "AB", "--isi", "1e-9"]
+        assert run(argv, capsys)[0] == 0
+        code, out, err = run(["train", "--session", str(tmp_path / "f"), "--out",
+                              str(tmp_path / "m")], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("blda.json (converged=False, 6 iterations)\n")
+        code, _, err = run(eval_argv(tmp_path / "f", tmp_path / "f", tmp_path / "e"), capsys)
+        assert (code, err) == (0, "")
+
+
 def eval_argv(train, test, out, swap=True):
     argv = ["eval", "--train-session", str(train), "--test-session", str(test), "--out", str(out)]
     return argv + (["--swap"] if swap else [])
@@ -655,6 +675,38 @@ class TestCorruptBundles:
         code, _, err = run(argv, capsys)
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("targets", [[10**30, 1]], f"target cell ({10**30}, 1) outside the 6x6 grid"),
+        ("targets", [[99, 99]], "target cell (99, 99) outside the 6x6 grid"),
+        ("targets", [[-1, 0]], "target cell (-1, 0) outside the 6x6 grid"),
+        ("targets", [[1.0, 1]], "'float' object cannot be interpreted as an integer"),
+        ("isi_s", float("inf"), "ISI must be positive and finite, got inf"),
+        ("flash_duration_s", "nan", "flash duration must lie in (0, ISI], got nan"),
+        ("inter_char_gap_s", float("nan"), "inter-character gap must be finite and >= 0, got nan"),
+    ], ids=["target-1e30", "target-99", "target-negative", "target-float", "isi-infinity",
+            "duration-text-nan", "gap-nan"])
+    def test_unusable_schedule_exits_3(self, session_pair, tmp_path, capsys, key, value, reason):
+        # a targets value replaces the first of the six (A..F: cells (1, 1)..(1, 6))
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        targets = [[1, col] for col in range(2, 7)]
+        _set("meta", key, value + targets if key == "targets" else value)(tmp_path / "b")
+        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
+                                  f"({reason})\n")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_is_target_against_meta_targets_exits_3(self, session_pair, tmp_path, capsys, flag):
+        # the first flash flagged ``not flag`` is flagged ``flag``; A lies at (1, 1)
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        events = read_session(tmp_path / "b").events
+        slot = events.slot[events.is_flash & (events.is_target != flag)][0]
+        _set_events("flash", "is_target", flag, is_target=(not flag,), count=1)(tmp_path / "b")
+        code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
+                                  f"(flash event in slot {slot} has is_target {flag}, but "
+                                  f"character 0's target cell is (1, 1))\n")
 
     def test_events_short_of_the_schedule_exit_3(self, session_pair, tmp_path, capsys):
         # the first 60 of 252 lines: character 1's second repetition stops

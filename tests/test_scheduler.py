@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from p300speller.errors import PipelineError, ValidationError
 from p300speller.patterns import cells_for_flash, make_constrained_pattern, make_rc_pattern
 from p300speller.scheduler import (
     BLOCKS,
+    Events,
+    Schedule,
     make_cp300_schedule,
     make_xp300_schedule,
     slots_per_repetition,
@@ -200,3 +203,94 @@ class TestIntervalStats:
         stats = target_interval_stats(s, threshold_s=1.0)
         assert stats.min_tti_s <= stats.mean_tti_s <= stats.max_tti_s
         assert stats.count_below >= 0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestScheduleRules:
+    """The constructor holds every rule, for built and hand-made schedules alike."""
+
+    @pytest.fixture(scope="class")
+    def built(self, con6):
+        return make_xp300_schedule(con6, reps=2, isi_s=ISI, targets=[(1, 1), (3, 5)], seed=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("paradigm", "qp300", "unknown paradigm 'qp300'"),
+        ("reps", 0, "repetitions must be >= 1, got 0"),
+        ("reps", NAN, "repetitions must be >= 1, got nan"),
+        ("isi_s", 0.0, "ISI must be positive and finite, got 0.0"),
+        ("isi_s", -ISI, "ISI must be positive and finite, got -0.133"),
+        ("isi_s", NAN, "ISI must be positive and finite, got nan"),
+        ("isi_s", INF, "ISI must be positive and finite, got inf"),
+        ("flash_duration_s", 0.0, r"flash duration must lie in \(0, ISI\], got 0.0"),
+        ("flash_duration_s", 0.2, r"flash duration must lie in \(0, ISI\], got 0.2"),
+        ("flash_duration_s", NAN, r"flash duration must lie in \(0, ISI\], got nan"),
+        ("flash_duration_s", INF, r"flash duration must lie in \(0, ISI\], got inf"),
+        ("inter_char_gap_s", -0.5, "inter-character gap must be finite and >= 0, got -0.5"),
+        ("inter_char_gap_s", NAN, "inter-character gap must be finite and >= 0, got nan"),
+        ("inter_char_gap_s", INF, "inter-character gap must be finite and >= 0, got inf"),
+        ("targets", [], "target list is empty"),
+        ("targets", [(1, 1), (0, 5)], r"target cell \(0, 5\) outside the 6x6 grid"),
+        ("targets", [(1, 1), (3, 7)], r"target cell \(3, 7\) outside the 6x6 grid"),
+        ("targets", [(10**30, 1), (3, 5)], r"target cell \(10{30}, 1\) outside the 6x6 grid"),
+        ("targets", [(1, 1)], r"flash event in slot 28 \(character 1, repetition 0\) lies "
+                              r"outside the schedule: 1 characters, 2 repetitions"),
+        ("reps", 1, r"flash event in slot 14 \(character 0, repetition 1\) lies outside the "
+                    r"schedule: 2 characters, 1 repetitions"),
+    ], ids=["paradigm", "reps-0", "reps-nan", "isi-0", "isi-negative", "isi-nan", "isi-inf",
+            "duration-0", "duration-over-isi", "duration-nan", "duration-inf", "gap-negative",
+            "gap-nan", "gap-inf", "no-targets", "target-row-0", "target-col-7", "target-1e30",
+            "flash-past-the-targets", "flash-past-the-reps"])
+    def test_each_rule(self, built, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            dataclasses.replace(built, **{field: value})
+
+    @pytest.mark.parametrize("targets", [[(1.0, 1)], [(1, "2")], [(1, None)]])
+    def test_targets_are_ints(self, built, targets):
+        with pytest.raises(TypeError):
+            dataclasses.replace(built, targets=targets)
+
+    def test_targets_are_pairs(self, built):
+        with pytest.raises(ValueError, match="unpack"):
+            dataclasses.replace(built, targets=[(1,), (3, 5)])
+
+    @pytest.mark.parametrize("target", [True, False])
+    def test_is_target_must_match_the_targets(self, built, target):
+        e = built.events
+        slot = int(e.slot[e.is_flash & (e.is_target == target)][0])
+        flags = e.is_target.copy()
+        flags[slot] = not target
+        columns = [getattr(e, name) for name in ("onset_s", "slot", "char_index", "repetition",
+                                                  "block", "flash_id")]
+        message = (rf"flash event in slot {slot} has is_target {not target}, but character 0's "
+                   rf"target cell is \(1, 1\)")
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            dataclasses.replace(built, events=Events(e.pattern, *columns, flags))
+
+    def test_target_flags_are_the_cells_each_flash_lights(self, built):
+        e = built.events
+        for char, block, flash_id, flag in zip(e.char_index, e.block, e.flash_id, e.is_target):
+            lit = block >= 0 and built.targets[char] in cells_for_flash(
+                built.pattern, BLOCKS[block], flash_id)
+            assert flag == lit
+        assert np.array_equal(built.target_flags(e.char_index, e.block, e.flash_id), e.is_target)
+
+    def test_partial_schedule_is_a_schedule(self, con6):
+        # completeness is a rule of a bundle, checked by its reader
+        events = Events(con6, onset_s=[0.5], slot=[0], char_index=[0], repetition=[0],
+                        block=[0], flash_id=[1], is_target=[True])
+        s = Schedule(paradigm="xp300", isi_s=0.2, flash_duration_s=0.1, reps=3,
+                     targets=[(1, 1), (2, 2)], events=events)
+        assert s.targets == [(1, 1), (2, 2)]
+
+    @pytest.mark.parametrize("make", [make_cp300_schedule, make_xp300_schedule])
+    @pytest.mark.parametrize("isi", [INF, NAN])
+    def test_builders_reject_a_non_finite_isi(self, rc6, make, isi):
+        with pytest.raises(ValidationError, match="ISI must be positive and finite"):
+            make(rc6, reps=1, isi_s=isi, targets=[(1, 1)], seed=0)
+
+    def test_builders_check_before_sizing_by_reps(self, rc6):
+        # a huge repetition count is never drawn when another argument is bad
+        with pytest.raises(ValidationError, match="outside the 6x6 grid"):
+            make_xp300_schedule(rc6, reps=10**12, isi_s=ISI, targets=[(7, 1)], seed=0)
