@@ -232,6 +232,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     rec = session_io.read_session(args.session)
+    _bundle_schedule(args.session, rec)  # it fits on the is_target flags of meta's schedule
     sf, clf = pipeline.train_models(pipeline.preprocess(rec, cfg.pipeline), cfg.pipeline)
     _note_clamp(cfg.pipeline, sf.n_f)
     out = Path(args.out)
@@ -243,6 +244,11 @@ def cmd_train(args) -> int:
         f"{out}/blda.json (converged={clf.converged}, {clf.iterations} iterations)"
     )
     return EXIT_OK
+
+
+def _bundle_schedule(path, rec: dsp.Recording) -> scheduler.Schedule:
+    """The schedule in a bundle's ``meta``, which its recording's events must follow."""
+    return pipeline.schedule_from_bundle(session_io.read_manifest(path), rec.events)
 
 
 def _note_clamp(cfg: PipelineConfig, fitted_n_f: int) -> None:
@@ -260,21 +266,20 @@ def cmd_eval(args) -> int:
     cfg = load_config(args)
     paths = (args.train_session, args.test_session)
     recs = [session_io.read_session(path) for path in paths]
-    # (index of the session to fit on, index of the session to score)
-    directions = [(0, 1), (1, 0)] if args.swap else [(0, 1)]
-    scheds = [
-        pipeline.schedule_from_bundle(session_io.read_manifest(paths[i]), recs[i].events)
-        for _, i in directions
-    ]
-    reps = [sched.reps for sched in scheds]
-    if len(set(reps)) > 1:
+    # each bundle's schedule, the test session's first, all checked before any filtering
+    test, train = [_bundle_schedule(paths[i], recs[i]) for i in (1, 0)]
+    if args.swap and test.reps != train.reps:
         raise ValidationError(
             f"--swap averages accuracy per repetition count, but the test session has "
-            f"{reps[0]} repetitions and the train session {reps[1]}"
+            f"{test.reps} repetitions and the train session {train.reps}"
         )
-    lows = [pipeline.preprocess(rec, cfg.pipeline) for rec in recs]
+    # one raw signal at a time: each recording, and its mapping, is gone before
+    # the next one is filtered
+    lows = [pipeline.preprocess(recs.pop(0), cfg.pipeline) for _ in paths]
+    # (index of the session to fit on, index of the session to score, its schedule)
+    directions = [(0, 1, test), (1, 0, train)] if args.swap else [(0, 1, test)]
     runs = []
-    for (fit, scored), sched in zip(directions, scheds):
+    for fit, scored, sched in directions:
         matrix = patterns.default_matrix(sched.n)
         result = pipeline.evaluate(lows[fit], lows[scored], sched, cfg.pipeline, matrix)
         _note_clamp(cfg.pipeline, result.n_f)
@@ -282,7 +287,6 @@ def cmd_eval(args) -> int:
     accuracy = np.mean([result.accuracy_by_k for _, result in runs], axis=0)
     auc = float(np.mean([result.auc for _, result in runs]))
 
-    test = runs[0][0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["k,accuracy,itr_bpm"]

@@ -86,6 +86,10 @@ class Events:
         return self.block >= 0
 
 
+def _kind(events: Events, i: int) -> str:
+    return FLASH if events.block[i] >= 0 else PAUSE
+
+
 def slots_per_repetition(paradigm: str, n: int) -> int:
     """ISI slots in one repetition: 2n flashes, plus xp300's two pauses."""
     if paradigm == CP300:
@@ -125,20 +129,21 @@ class Schedule:
         for r, c in targets:
             if not (1 <= r <= n and 1 <= c <= n):
                 raise ValidationError(f"target cell ({r}, {c}) outside the {n}x{n} grid")
-        e, flash = self.events, self.events.is_flash  # columns by mask: no copy of the table
-        char, rep, flags = e.char_index[flash], e.repetition[flash], e.is_target[flash]
-        inside = (0 <= char) & (char < len(targets)) & (0 <= rep) & (rep < self.reps)
+        e = self.events
+        inside = ((0 <= e.char_index) & (e.char_index < len(targets))
+                  & (0 <= e.repetition) & (e.repetition < self.reps))
         if not inside.all():
             i = int(np.argmin(inside))
-            raise ValidationError(f"flash event in slot {e.slot[flash][i]} (character {char[i]}, "
-                                  f"repetition {rep[i]}) lies outside the schedule: "
-                                  f"{len(targets)} characters, {self.reps} repetitions")
-        wrong = flags != self.target_flags(char, e.block[flash], e.flash_id[flash])
-        if wrong.any():
+            raise ValidationError(f"{_kind(e, i)} event in slot {e.slot[i]} (character "
+                                  f"{e.char_index[i]}, repetition {e.repetition[i]}) lies "
+                                  f"outside the schedule: {len(targets)} characters, "
+                                  f"{self.reps} repetitions")
+        wrong = e.is_target != self.target_flags(e.char_index, e.block, e.flash_id)
+        if wrong.any():  # a pause is never a target
             i = int(np.argmax(wrong))
-            raise ValidationError(f"flash event in slot {e.slot[flash][i]} has is_target "
-                                  f"{flags[i]}, but character {char[i]}'s target cell is "
-                                  f"{targets[char[i]]}")
+            raise ValidationError(f"{_kind(e, i)} event in slot {e.slot[i]} has is_target "
+                                  f"{e.is_target[i]}, but character {e.char_index[i]}'s target "
+                                  f"cell is {targets[e.char_index[i]]}")
 
     @property
     def pattern(self) -> FlashPattern:
@@ -216,9 +221,11 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
         order = np.concatenate([rng.permutation(2 * n) for _ in range(plans)])
         block, flash_id = order // n, order % n + 1
     else:
-        flash_id = np.concatenate(
-            [np.r_[rng.permutation(n) + 1, 0, rng.permutation(n) + 1, 0] for _ in range(plans)]
-        )
+        # each plan's row ids, a pause, its column ids, a pause, as one reshape
+        flash_id = np.zeros((2 * plans, n + 1), dtype=np.int64)
+        flash_id[:, :n] = [rng.permutation(n) for _ in range(2 * plans)]
+        flash_id[:, :n] += 1
+        flash_id = flash_id.ravel()
         block = np.tile(np.repeat([0, -1, 1, -1], [n, 1, n, 1]), plans)
     slot = np.arange(block.size)
     per_rep = slots_per_repetition(paradigm, n)

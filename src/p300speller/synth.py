@@ -7,25 +7,29 @@ interval attenuates the response through a piecewise-linear gain,
 emulating the attentional-blink penalty that makes rapid double flashes
 hard to detect; that is what separates the two paradigms downstream.
 
-The background is rendered straight into one sample-major float64 array
-in blocks of ``_ROWS`` rows, on two threads.  A worker is handed every
-block's draw up front, each into the block's own rows; the calling
-thread takes the blocks in order, waits for each draw and runs the AR(1)
-filter over the block in place, the noise scale as its numerator.  One
-worker runs its queue in order and the calling thread leaves the
-generator alone until the last draw is done, so the innovations are
-those of one (samples, channels) draw, and the filter state carries from
-block to block: the samples are the bytes of one whole-array draw,
-scaling and filter.  Both steps release the GIL, so on two cores they
-overlap.  The rhythm is added in a second pass over the same blocks,
-after the noise, so its phases are drawn where they always were.  Each
-response product (template kernel times gain, outer topography) is built
-once per distinct gain and added where it lands.
+The signal is rendered in blocks of ``_ROWS`` rows, each whole before it
+is cast into the one float32 result, so no whole-signal float64 array is
+ever held.  A block gets its AR(1) noise, then the rhythm, then every
+response that overlaps it, in flash order: each sample sees the float64
+operations of a whole-array render in the same order, so the bytes are
+the same.  A worker thread draws the noise, block by block in order, into
+a ring of ``_RING`` float64 block buffers.  The calling thread waits for
+block k's draw, runs the AR(1) filter over it (the noise scale as the
+numerator, the filter state carried from block to block) and hands the
+buffer back for block k + ``_RING``'s draw.  One generator makes every
+draw in block order, so the innovations are those of one (samples,
+channels) draw.  Drawing and filtering release the GIL, so on two cores
+they overlap.  The generator draws the rhythm's phases and the onset
+jitters after all the noise; when either is on, a copy of the generator
+first draws and discards the session's noise on the worker (a dry pass)
+to reach them.  Each response product (template kernel times gain, outer
+topography) is built once per distinct gain.
 
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,9 @@ from .scheduler import Schedule
 # an lfilter call and a wait on the worker, and 16,384 rows keep those to 46 in
 # a default xp300 session (4,096 rows took 183 and were no faster)
 _ROWS = 16384
+# float64 block buffers the worker draws into, so it runs at most this many
+# blocks ahead of the block being rendered
+_RING = 3
 
 
 @dataclass
@@ -153,7 +160,8 @@ def synthesize_session(
     schedule times.
 
     The result is bit-identical for identical inputs and seed, stored as
-    float32 (the on-disk sample format).
+    float32 (the on-disk sample format), and the only whole-signal array
+    held: the rest is a few float64 blocks (see the module docstring).
     """
     if not schedule.events:
         raise ValidationError("schedule has no events")
@@ -174,21 +182,65 @@ def synthesize_session(
     flashes = schedule.events[schedule.events.is_flash]
     n_samples = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
     n_ch = len(channels)
+    blocks = [(r0, min(r0 + _ROWS, n_samples)) for r0 in range(0, n_samples, _ROWS)]
+    sigma, alpha = noise.background_sigma_uv, noise.alpha_amp_uv
+    ring = [np.empty((min(_ROWS, n_samples), n_ch)) for _ in blocks[:_RING]] if sigma > 0 else []
 
-    data = np.zeros((n_samples, n_ch))
-    if noise.background_sigma_uv > 0:
-        _render_background(data, rng, noise)
-    if noise.alpha_amp_uv > 0:
-        phases = rng.uniform(0.0, 2 * np.pi, n_ch)
-        for r0 in range(0, n_samples, _ROWS):
-            t = np.arange(r0, min(r0 + _ROWS, n_samples))[:, None] / fs_hz
-            data[r0 : r0 + len(t)] += noise.alpha_amp_uv * np.sin(
-                2 * np.pi * noise.alpha_freq_hz * t + phases
-            )
+    def draws_after_noise(rng):
+        """The rhythm's phases and the jitters, which ``rng`` draws after all the noise."""
+        if sigma > 0:
+            for r0, r1 in blocks:
+                rng.standard_normal(out=ring[0][: r1 - r0])  # before block 0's draw goes there
+        phases = rng.uniform(0.0, 2 * np.pi, n_ch) if alpha > 0 else None
+        # one jitter draw per flash regardless of settings keeps the RNG
+        # stream independent of the blink/template configuration
+        return phases, rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
 
-    # one jitter draw per flash regardless of settings keeps the RNG
-    # stream independent of the blink/template configuration
-    jitters = rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
+    # here, so that train and eval import neither
+    from concurrent.futures import ThreadPoolExecutor
+
+    from scipy import signal
+
+    samples = np.empty((n_samples, n_ch), dtype=np.float32)
+    with ThreadPoolExecutor(1) as worker:
+
+        def draw(k):
+            r0, r1 = blocks[k]
+            return worker.submit(rng.standard_normal, out=ring[k % _RING][: r1 - r0])
+
+        dry_pass = alpha > 0 or onset_jitter_s > 0
+        later = worker.submit(draws_after_noise, copy.deepcopy(rng)) if dry_pass else None
+        draws = [draw(k) for k in range(len(ring))]
+        phases, jitters = later.result() if dry_pass else (None, np.zeros(len(flashes)))
+        by_block = _responses_by_block(flashes, jitters, templates, blink, visual_templates,
+                                       fs_hz, len(blocks), n_samples)
+        state = np.zeros((1, n_ch))
+        for k, (r0, r1) in enumerate(blocks):
+            if sigma > 0:
+                draws[k].result()
+                # lfilter writes a new array, so the buffer takes block k + _RING's draw now
+                block, state = signal.lfilter(
+                    [sigma], [1.0, -noise.ar_coeff], ring[k % _RING][: r1 - r0], axis=0, zi=state
+                )
+                if k + _RING < len(blocks):
+                    draws.append(draw(k + _RING))
+            else:
+                block = np.zeros((r1 - r0, n_ch))
+            if alpha > 0:
+                t = np.arange(r0, r1)[:, None] / fs_hz
+                block += alpha * np.sin(2 * np.pi * noise.alpha_freq_hz * t + phases)
+            for start, response in by_block[k]:
+                a, b = max(start, r0), min(start + len(response), r1)
+                block[a - r0 : b - r0] += response[a - start : b - start]
+            samples[r0:r1] = block
+
+    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channels, events=schedule.events)
+
+
+def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz, n_blocks,
+                        n_samples):
+    """Per ``_ROWS`` block, the (start sample, response) pairs that overlap
+    it, in flash order; a response that starts outside the signal is left out."""
     starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
     kernels = [tpl.waveform(fs_hz) for tpl in templates]
     ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
@@ -196,47 +248,19 @@ def synthesize_session(
 
     responses = {}  # gain -> each template's response at that gain, built once
     visual = [np.outer(tpl.waveform(fs_hz), tpl.topography) for tpl in visual_templates or []]
+    by_block = [[] for _ in range(n_blocks)]
     for start, is_target in zip(starts.tolist(), flashes.is_target.tolist()):
+        added = visual
         if is_target:
             gain = next(gains)
             if gain not in responses:
                 responses[gain] = [
                     np.outer(kernel * gain, tpl.topography) for tpl, kernel in zip(templates, kernels)
                 ]
-            for response in responses[gain]:
-                _add_response(data, start, response)
-        for response in visual:
-            _add_response(data, start, response)
-
-    return Recording(
-        fs_hz=fs_hz,
-        samples=data.astype(np.float32),
-        channel_names=channels,
-        events=schedule.events,
-    )
-
-
-def _render_background(data, rng, noise):
-    """Set ``data`` (samples, channels) to AR(1) noise by the queued block
-    loop of the module docstring."""
-    # here, so that train and eval import neither
-    from concurrent.futures import ThreadPoolExecutor
-
-    from scipy import signal
-
-    blocks = [data[r0 : r0 + _ROWS] for r0 in range(0, len(data), _ROWS)]
-    state = np.zeros((1, data.shape[1]))
-    with ThreadPoolExecutor(1) as worker:
-        draws = [worker.submit(rng.standard_normal, out=block) for block in blocks]
-        for block, draw in zip(blocks, draws):
-            draw.result()
-            block[:], state = signal.lfilter(
-                [noise.background_sigma_uv], [1.0, -noise.ar_coeff], block, axis=0, zi=state
-            )
-
-
-def _add_response(data, start, response):
-    stop = min(start + len(response), data.shape[0])
-    if start >= stop or start < 0:
-        return
-    data[start:stop] += response[: stop - start]
+            added = responses[gain] + visual
+        for response in added:
+            stop = min(start + len(response), n_samples)
+            if 0 <= start < stop:
+                for k in range(start // _ROWS, (stop - 1) // _ROWS + 1):
+                    by_block[k].append((start, response))
+    return by_block

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -310,9 +311,12 @@ class TestTrain:
         )
         assert code == 3
 
-    def test_zero_target_session_exits_4(self, tmp_path, capsys):
-        # craft a bundle whose events all carry is_target = false
+    def test_zero_target_session_exits_3(self, tmp_path, capsys):
+        # a bundle whose events all carry is_target = false breaks the schedule
+        # in its meta, so train rejects it before it fits
         assert main(["simulate", "--out", str(tmp_path / "s"), "--seed", "3"] + FAST_SIM) == 0
+        events = read_session(tmp_path / "s").events
+        slot = events.slot[events.is_target][0]
         events_path = tmp_path / "s" / "events.jsonl"
         lines = [json.loads(line) for line in events_path.read_text().splitlines()]
         for obj in lines:
@@ -323,8 +327,32 @@ class TestTrain:
         code, _, err = run(
             ["train", "--session", str(tmp_path / "s"), "--out", str(tmp_path / "m")], capsys
         )
-        assert code == 4
-        assert "target" in err
+        assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
+                                  f"(flash event in slot {slot} has is_target False, but "
+                                  f"character 0's target cell is (1, 1))\n")
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_flipped_is_target_exits_3(self, tmp_path, capsys, command):
+        """One non-target flash of the bundle fitted on flagged true: train,
+        and eval without --swap on it as train session, fitted on the flag and
+        exited 0; meta's schedule now rejects it first."""
+        bundle = tmp_path / "s"
+        argv = ["simulate", "--out", str(bundle), "--seed", "1", "--reps", "2", "--targets", "AB"]
+        assert main(argv) == 0
+        shutil.copytree(bundle, tmp_path / "test")  # eval scores an intact copy
+        events = read_session(bundle).events
+        slot = events.slot[events.is_flash & ~events.is_target][0]
+        _set_events("flash", "is_target", True, is_target=(False,), count=1)(bundle)
+        if command == "train":
+            argv = ["train", "--session", str(bundle), "--out", str(tmp_path / "m")]
+        else:
+            argv = eval_argv(bundle, tmp_path / "test", tmp_path / "m", swap=False)
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
+                                  f"(flash event in slot {slot} has is_target True, but "
+                                  f"character 0's target cell is (1, 1))\n")
+        assert not (tmp_path / "m").exists()
 
     def test_nf_clamp_noted_on_every_run(self, session_pair, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -548,6 +576,27 @@ class TestPreprocessOnce:
         auc_ab, auc_ba = (float((d / "summary.txt").read_text()[4:]) for d in (ab, ba))
         assert (swap / "summary.txt").read_text() == f"auc={(auc_ab + auc_ba) / 2!r}\n"
 
+    def test_each_raw_recording_is_gone_before_the_next_is_filtered(
+        self, weak_pair, tmp_path, capsys, monkeypatch
+    ):
+        """eval maps one raw bundle at a time: the first recording, and its
+        mapped signal, are freed before the second is filtered."""
+        seen, alive = [], []
+        preprocess = pipeline.preprocess
+
+        def spying_preprocess(rec, cfg):
+            alive.append([ref() is not None for ref in seen])
+            seen.extend([weakref.ref(rec), weakref.ref(rec.samples)])
+            return preprocess(rec, cfg)
+
+        monkeypatch.setattr(pipeline, "preprocess", spying_preprocess)
+        for swap in (True, False):
+            seen.clear()
+            alive.clear()
+            argv = eval_argv(weak_pair / "a", weak_pair / "b", tmp_path / str(swap), swap=swap)
+            assert run(argv, capsys)[0] == 0
+            assert alive == [[], [False, False]]
+
 
 def _drop(*keys):
     def change(manifest):
@@ -706,6 +755,21 @@ class TestCorruptBundles:
         code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
         assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
                                   f"(flash event in slot {slot} has is_target {flag}, but "
+                                  f"character 0's target cell is (1, 1))\n")
+
+    @pytest.mark.parametrize("role", ["test", "train"])
+    def test_pause_flagged_target_exits_3(self, session_pair, tmp_path, capsys, role):
+        # no writer flags a pause, and a pause is never a target: as either
+        # session of an eval --swap the bundle exited 0 with intact outputs
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        events = read_session(tmp_path / "b").events
+        slot = events.slot[~events.is_flash][0]
+        _set_events("pause", "is_target", True, count=1)(tmp_path / "b")
+        bad, good = tmp_path / "b", session_pair / "a"
+        train, test = (good, bad) if role == "test" else (bad, good)
+        code, _, err = run(eval_argv(train, test, tmp_path / "e"), capsys)
+        assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
+                                  f"(pause event in slot {slot} has is_target True, but "
                                   f"character 0's target cell is (1, 1))\n")
 
     def test_events_short_of_the_schedule_exit_3(self, session_pair, tmp_path, capsys):

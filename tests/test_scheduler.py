@@ -10,6 +10,7 @@ from p300speller.errors import PipelineError, ValidationError
 from p300speller.patterns import cells_for_flash, make_constrained_pattern, make_rc_pattern
 from p300speller.scheduler import (
     BLOCKS,
+    COLUMNS,
     Events,
     Schedule,
     make_cp300_schedule,
@@ -140,6 +141,18 @@ class TestXp300:
         onsets = s.events.onset_s.tolist()
         assert all(b > a for a, b in zip(onsets, onsets[1:]))
 
+    @pytest.mark.parametrize("n, reps, seed", [(3, 1, 0), (6, 10, 7), (12, 3, 1)])
+    def test_flash_ids_are_the_per_plan_draws(self, n, reps, seed):
+        """The flash ids are the permutations each plan draws in turn (row
+        ids, a pause, column ids, a pause), as the per-plan ``np.r_`` made them."""
+        targets = [(1, 1), (n, n)]
+        s = make_xp300_schedule(make_constrained_pattern(n), reps=reps, isi_s=ISI,
+                                targets=targets, seed=seed)
+        rng = np.random.default_rng(seed)
+        former = np.concatenate([np.r_[rng.permutation(n) + 1, 0, rng.permutation(n) + 1, 0]
+                                 for _ in range(len(targets) * reps)])
+        assert s.events.flash_id.tolist() == former.tolist()
+
     def test_flash_duration_default_half_isi(self, con6):
         s = make_xp300_schedule(con6, reps=1, isi_s=ISI, targets=[(1, 1)], seed=0)
         assert s.flash_duration_s == pytest.approx(ISI / 2)
@@ -267,6 +280,28 @@ class TestScheduleRules:
                    rf"target cell is \(1, 1\)")
         with pytest.raises(ValidationError, match=f"^{message}$"):
             dataclasses.replace(built, events=Events(e.pattern, *columns, flags))
+
+    def test_a_pause_is_never_a_target(self, built):
+        # slot 6 is the first pause: six row flashes, then the pause
+        e = built.events
+        flags = e.is_target.copy()
+        flags[6] = True
+        columns = [getattr(e, name) for name in ("onset_s", "slot", "char_index", "repetition",
+                                                  "block", "flash_id")]
+        assert e.block[6] == -1 and not e.is_target[6]
+        message = r"pause event in slot 6 has is_target True, but character 0's target cell is"
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            dataclasses.replace(built, events=Events(e.pattern, *columns, flags))
+
+    @pytest.mark.parametrize("name, value", [("char_index", 2), ("repetition", -1)])
+    def test_a_pause_lies_inside_the_schedule(self, built, name, value):
+        e = built.events
+        columns = {name: getattr(e, name).copy() for name in COLUMNS}
+        columns[name][6] = value
+        message = (rf"pause event in slot 6 \(character {columns['char_index'][6]}, repetition "
+                   rf"{columns['repetition'][6]}\) lies outside the schedule")
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            dataclasses.replace(built, events=Events(e.pattern, **columns))
 
     def test_target_flags_are_the_cells_each_flash_lights(self, built):
         e = built.events

@@ -221,6 +221,26 @@ class TestChanceLevel:
         assert mean_auc == pytest.approx(0.5, abs=0.05)
 
 
+class Draws:
+    """A generator whose ``failing``-th standard_normal call (counted from its
+    making, or from its copy's) raises, and that hands each call's buffer to
+    ``record``."""
+
+    def __init__(self, seed, failing=None):
+        self.rng, self.failing, self.draws = np.random.Generator(np.random.PCG64(seed)), failing, 0
+        self.record = lambda out: None
+
+    def standard_normal(self, out):
+        self.draws += 1
+        self.record(out)
+        if self.draws == self.failing:
+            raise MemoryError("draw failed")
+        return self.rng.standard_normal(out=out)
+
+    def uniform(self, *args):
+        return self.rng.uniform(*args)
+
+
 def whole_array_render(schedule, noise, fs_hz, seed, onset_jitter_s=0.0, visual_templates=(),
                        tail_s=1.0):
     """The former renderer: one (n, C) draw, the AR(1) filter along each
@@ -312,29 +332,71 @@ class TestBackground:
         synthesize_session(schedule, seed=3)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("failing", [1, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("failing", ["first", "middle", "ring-wrap", "second-ring-wrap",
+                                         "last"])
     def test_failed_draw_leaves_no_thread_running(self, schedule, monkeypatch, failing):
-        """A session of four blocks, the last of one row, whose first, a middle
-        or the last draw fails: the failure is raised in the caller, and the
-        drawing thread ends."""
-
-        class FailingDraw:
-            def __init__(self, rng):
-                self.rng, self.draws = rng, 0
-
-            def standard_normal(self, out):
-                self.draws += 1
-                if self.draws == failing:
-                    raise MemoryError("draw failed")
-                return self.rng.standard_normal(out=out)
-
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingDraw(default_rng(seed)))
+        """A session of 2 * _RING + 2 blocks, the last of one row, whose first
+        or a middle draw fails, or the first draw into a buffer of the ring
+        taken back once or twice, or the last: the failure is raised in the
+        caller, and the drawing thread ends."""
+        blocks = 2 * synth._RING + 2
+        draw = {"first": 1, "middle": 2, "ring-wrap": synth._RING + 1,
+                "second-ring-wrap": 2 * synth._RING + 1, "last": blocks}[failing]
+        monkeypatch.setattr(np.random, "default_rng", partial(Draws, failing=draw))
         before = threading.active_count()
-        tail_s = (3 * synth._ROWS + 1) / 2000.0 - schedule.events.onset_s.max()
+        tail_s = ((blocks - 1) * synth._ROWS + 1) / 2000.0 - schedule.events.onset_s.max()
         with pytest.raises(MemoryError, match="draw failed"):
             synthesize_session(schedule, seed=3, tail_s=tail_s)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [1, 3], ids=["first", "last"])
+    def test_failed_dry_pass_leaves_no_thread_running(self, schedule, monkeypatch, failing):
+        """With the rhythm on, a copy of the generator draws the noise first
+        to reach the phases; a failed draw there is raised in the caller, and
+        the drawing thread ends."""
+        monkeypatch.setattr(np.random, "default_rng", partial(Draws, failing=failing))
+        before = threading.active_count()
+        tail_s = 3 * synth._ROWS / 2000.0 - schedule.events.onset_s.max()
+        with pytest.raises(MemoryError, match="draw failed"):
+            synthesize_session(schedule, noise=NoiseModel(alpha_amp_uv=2.0), seed=3,
+                               tail_s=tail_s)
+        assert threading.active_count() == before
+
+    def test_ring_buffers_taken_in_turn(self, schedule, monkeypatch):
+        """Over 2 * _RING + 1 blocks with the rhythm, jitter and visual
+        responses on, the worker draws into _RING buffers in turn, each only
+        after the block drawn there before is filtered, and the bytes are the
+        whole-array render's."""
+        from scipy import signal
+
+        lfilter, filtered, draws = signal.lfilter, [], []
+
+        def counting_lfilter(*args, **kwargs):
+            result = lfilter(*args, **kwargs)
+            filtered.append(True)
+            return result
+
+        def recording_rng(seed):
+            rng = Draws(seed)
+            rng.record = lambda out: draws.append((out.ctypes.data, len(filtered)))
+            return rng
+
+        monkeypatch.setattr(signal, "lfilter", counting_lfilter)
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        n = 2 * synth._RING + 1
+        kwargs = {"onset_jitter_s": 0.02, "visual_templates": default_templates(0.5),
+                  "tail_s": n * synth._ROWS / 2000.0 - schedule.events.onset_s.max()}
+        noise = NoiseModel(background_sigma_uv=1.5, ar_coeff=0.9, alpha_amp_uv=2.0)
+        rec = synthesize_session(schedule, noise=noise, blink=BlinkModel(), seed=11, **kwargs)
+        monkeypatch.undo()
+        dry, real = draws[:n], draws[n:]  # the dry pass draws first, all into the first buffer
+        assert len(real) == n and {address for address, _ in dry} == {real[0][0]}
+        for k, (address, blocks_filtered) in enumerate(real):
+            assert address == real[k % synth._RING][0]
+            assert blocks_filtered >= k - synth._RING + 1
+        assert len({address for address, _ in real}) == synth._RING
+        former = whole_array_render(schedule, noise, 2000.0, seed=11, **kwargs)
+        assert rec.samples.tobytes() == former.tobytes()
 
     def test_same_bytes_under_thread_stress(self, schedule):
         """Four sessions at once, each with its drawing thread, on a switch
@@ -359,9 +421,11 @@ class TestBackground:
             former = whole_array_render(schedule, noise, 250.0, seed=seed, tail_s=tail_s)
             assert rec.samples.tobytes() == former.tobytes()
 
-    def test_peak_memory_is_the_two_signal_buffers(self):
+    def test_peak_memory_is_the_float32_signal_and_the_ring(self):
         """On the default xp300 session, with the alpha rhythm on, the renderer
-        holds the float64 signal, its float32 copy and no more than 2 MiB besides."""
+        holds the float32 signal, the ring of float64 block buffers and no more
+        than five blocks besides: the filtered block, lfilter's working copies
+        and the rhythm's terms."""
         import tracemalloc
 
         import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
@@ -382,4 +446,4 @@ class TestBackground:
             tracemalloc.stop()
         n, n_ch = rec.samples.shape
         assert n > 700_000
-        assert peak <= n * n_ch * 12 + 2 * 2**20
+        assert peak <= n * n_ch * 4 + (synth._RING + 5) * synth._ROWS * n_ch * 8
