@@ -140,6 +140,8 @@ def _fits(value, allowed: tuple) -> bool:
 
 
 def cmd_pattern(args) -> int:
+    if args.n > patterns.MAX_N:  # before the n x n matrices, or the n^2 cells permuted
+        raise ValidationError(f"--n must be at most {patterns.MAX_N}, got {args.n}")
     p = _build_pattern(args.kind, args.n, args.seed)
     payload = json.dumps(p.to_json(), sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -203,25 +205,27 @@ def cmd_simulate(args) -> int:
     visual = (
         synth.default_templates(s.visual_response_scale) if s.visual_response_scale > 0 else None
     )
-    rec = synth.synthesize_session(
-        sched,
-        templates=synth.default_templates(s.template_scale),
-        noise=synth.NoiseModel(
-            s.background_sigma_uv, s.ar_coeff, s.alpha_amp_uv, s.alpha_freq_hz
-        ),
-        blink=blink,
-        fs_hz=s.fs_hz,
-        onset_jitter_s=s.onset_jitter_s,
-        seed=synth_seed,
-        visual_templates=visual,
-    )
+    noise = synth.NoiseModel(s.background_sigma_uv, s.ar_coeff, s.alpha_amp_uv, s.alpha_freq_hz)
     meta = {
         **pipeline.schedule_meta(sched),
         "seed": args.seed,
         "target_text": cfg.target_text,
         "config": asdict(cfg),
     }
-    session_io.write_session(rec, args.out, meta=meta)
+    # the signal goes to disk block by block as it is rendered
+    with session_io.streamed_signal(args.out) as signal_tmp:
+        rec = synth.synthesize_session(
+            sched,
+            templates=synth.default_templates(s.template_scale),
+            noise=noise,
+            blink=blink,
+            fs_hz=s.fs_hz,
+            onset_jitter_s=s.onset_jitter_s,
+            seed=synth_seed,
+            visual_templates=visual,
+            out=signal_tmp,
+        )
+    session_io.write_session(rec, args.out, meta=meta, streamed=True)
     print(
         f"wrote {args.out}: {cfg.paradigm}, {len(targets)} characters x {cfg.reps} reps, "
         f"{sched.slots_per_repetition} slots/repetition, seed {args.seed}"

@@ -12,9 +12,12 @@ poles, low-pass to band-pass transform, prewarped bilinear transform).
 ``filter_recording`` bandpasses and decimates in one pass as a block
 (polyphase) state-space decimator: the cascade's state advances once per
 block of q input samples and only the kept samples are computed, over
-blocks of rows, so the full-rate filtered signal is never held.
+blocks of rows, so the full-rate filtered signal is never held.  On a
+read-only file mapping (a bundle's ``signal.f32``) it drops the pages
+behind its row blocks as it goes, so the raw signal is not held either.
 """
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +28,7 @@ from .scheduler import Events
 DEFAULT_CHANNELS = ("O1", "O2", "P3", "P4", "P7", "P8", "Pz", "FCz")
 FILTER_BLOCK_VALUES = 2**17  # samples x channels filtered per block by filter_recording
 FILTER_CHUNK_BLOCKS = 16  # q-sample blocks per chunk, mapped by one operator in filter_recording
+RELEASE_BYTES = 8 << 20  # mapped bytes filter_recording has read before it drops their pages
 
 
 @dataclass
@@ -158,6 +162,13 @@ def filter_recording(spec: FilterSpec, rec: Recording, fs_out: float) -> Recordi
 
     The carried state goes non-finite for good at a non-finite input
     sample, wherever it sits, so a PipelineError names the channel.
+
+    When ``rec.samples`` spans the whole of a read-only ``mmap.mmap`` (as
+    ``read_session`` maps ``signal.f32``), the pages of the rows read so far
+    are dropped with ``madvise(MADV_DONTNEED)`` each time another
+    ``RELEASE_BYTES`` have been read, and at the end, so at most about that
+    much of the mapping stays resident.  A shared read-only mapping loses
+    nothing: a later read faults the pages back in from the page cache.
     """
     if spec.fs_hz != rec.fs_hz:
         raise ValidationError(
@@ -171,6 +182,7 @@ def filter_recording(spec: FilterSpec, rec: Recording, fs_out: float) -> Recordi
     step = max(1, FILTER_BLOCK_VALUES // channels // (q * blocks)) * q * blocks
     state = np.zeros((n, channels))
     kept = []
+    release = _page_release(rec.samples)
     for start in range(0, rec.n_samples, step):
         x = rec.samples[start : start + step]
         if len(x) % width:
@@ -178,6 +190,8 @@ def filter_recording(spec: FilterSpec, rec: Recording, fs_out: float) -> Recordi
         # one matmul call per q-sample block, then one per chunk: the per-call
         # shapes, and so the bytes, do not depend on how many chunks a block holds
         x = x.astype(float).reshape(-1, width, channels)
+        if release:  # the rows are copied
+            release(start + step)
         z = np.matmul(feed, x)
         if len(z) % blocks:
             z = np.concatenate([z, np.zeros((-len(z) % blocks, n, channels))])
@@ -197,6 +211,36 @@ def check_finite(values: np.ndarray, channel_names) -> None:
     if not finite.all():  # the fast test; the per-channel reduction only names the channel
         name = channel_names[int(np.argmin(finite.all(axis=0)))]
         raise PipelineError(f"channel {name!r} holds non-finite samples")
+
+
+def _page_release(samples: np.ndarray):
+    """For an array over the whole of a read-only ``mmap.mmap``, a function
+    that drops the pages of its first ``rows`` rows once another
+    ``RELEASE_BYTES`` of them are read, or all of them at the end; else None."""
+    mapping = samples
+    while isinstance(mapping, np.ndarray):
+        mapping = mapping.base
+    if isinstance(mapping, memoryview):  # np.frombuffer's view of the map
+        mapping = mapping.obj
+    if not (isinstance(mapping, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
+            and samples.flags.c_contiguous and samples.nbytes == len(mapping)):
+        return None
+    with memoryview(mapping) as view:
+        if not view.readonly:  # a private mapping's changes would be lost
+            return None
+    released = 0
+
+    def release(rows: int) -> None:
+        nonlocal released
+        stop = min(rows * samples.strides[0], len(mapping))
+        if stop < len(mapping):
+            stop -= stop % mmap.PAGESIZE
+            if stop - released < RELEASE_BYTES:
+                return
+        mapping.madvise(mmap.MADV_DONTNEED, released, stop - released)
+        released = stop
+
+    return release
 
 
 def _block_operators(sos: np.ndarray, q: int, blocks: int, width: int):

@@ -23,6 +23,10 @@ ROW_BLOCK = "row"
 COL_BLOCK = "col"
 
 ALPHANUM = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+# the largest grid dimension the pattern command builds: a pattern holds 2 n^2
+# flash indices and the rc and permuted makers permute n^2 cells, so its peak
+# grows as n^2 (49 MB at 256, 279 MB at 1,000, 74.5 GiB of cells at 100,000)
+MAX_N = 256
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ A bundle is a directory of three files:
   a ``meta`` block (``pipeline.schedule_meta``, the events' flash
   ``pattern`` and free-form provenance).
 * ``signal.f32`` -- little-endian IEEE-754 float32, sample-major: all
-  channels of sample 0, then sample 1, and so on.  It is mapped read-only,
-  not copied.
+  channels of sample 0, then sample 1, and so on.  A writer may stream it
+  to ``signal.f32.tmp`` (``streamed_signal``) for ``write_session`` to
+  rename; it is read through a read-only ``mmap.mmap``, not copied, which
+  ``dsp.filter_recording`` finds through the array's ``base`` and whose
+  pages it drops once it has read them.
 * ``events.jsonl`` -- one stimulus-event object per line, streamable; a
   flash's ``cells`` are written from the pattern and checked against it.
   The writer's canonical line is compact JSON with sorted keys, e.g.
@@ -20,17 +23,22 @@ A bundle is a directory of three files:
   integer past int64, then a non-finite onset.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
-identical inputs; reads verify that each file is a regular file, the
-version, that the signal size matches the manifest, and every event line.
+identical inputs, and a streamed signal that fails part-way leaves no
+temp file and no directory made for it.  Reads verify that each file is
+a regular file, the version, that the signal size matches the manifest,
+and every event line.
 A bundle file must be replaced by rename, never rewritten in place, while
 a command reads it: truncating the mapped signal in place raises SIGBUS.
 """
 
 import io
 import json
+import mmap
 import os
 import re
 import stat
+from contextlib import contextmanager, suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +80,31 @@ _EVENT_OBJECT = (
 _CANONICAL_LINE = "^" + _EVENT_OBJECT + r"\n"
 
 
-def write_session(rec: Recording, path, meta: dict | None = None) -> None:
-    """Write a recording as a bundle directory; ``meta`` gains the events' pattern."""
+@contextmanager
+def streamed_signal(path):
+    """Yield the path of ``<path>/signal.f32.tmp`` for a writer to stream a
+    bundle's signal to, making the directory if need be; ``write_session(...,
+    streamed=True)`` then renames it into place.  If the writer raises, the
+    temp file goes, and so does each directory made for it, so a bundle
+    already at ``path`` is left as it was."""
+    path = Path(path)
+    made = list(takewhile(lambda directory: not directory.exists(), [path, *path.parents]))
+    path.mkdir(parents=True, exist_ok=True)
+    tmp = _temp_path(path / SIGNAL_NAME)
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        with suppress(OSError):
+            for directory in made:  # the deepest first
+                directory.rmdir()
+        raise
+
+
+def write_session(rec: Recording, path, meta: dict | None = None, streamed: bool = False) -> None:
+    """Write a recording as a bundle directory; ``meta`` gains the events' pattern.
+    ``streamed``: the signal is already in ``<path>/signal.f32.tmp`` (see
+    ``streamed_signal``), and is renamed, not written."""
     if rec.events is None:  # a bundle without meta.pattern could not be read back
         raise ValidationError("a bundle needs the recording's events and their pattern")
     path = Path(path)
@@ -87,7 +118,10 @@ def write_session(rec: Recording, path, meta: dict | None = None) -> None:
         "channel_names": list(rec.channel_names),
         "meta": meta,
     }
-    atomic_write(path / SIGNAL_NAME, np.ascontiguousarray(rec.samples, dtype="<f4"))
+    if streamed:
+        os.replace(_temp_path(path / SIGNAL_NAME), path / SIGNAL_NAME)
+    else:
+        atomic_write(path / SIGNAL_NAME, np.ascontiguousarray(rec.samples, dtype="<f4"))
     atomic_write(path / EVENTS_NAME, events_jsonl(rec.events).encode())
     atomic_write(
         path / MANIFEST_NAME,
@@ -199,7 +233,9 @@ def read_session(path) -> Recording:
             f"({n_samples} samples x {n_channels} channels x 4)"
         )
     # mapped, not copied: the filter reads its row blocks from the page cache
-    samples = np.memmap(path / SIGNAL_NAME, dtype="<f4", mode="r", shape=(n_samples, n_channels))
+    with open(path / SIGNAL_NAME, "rb") as file:
+        mapping = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+    samples = np.frombuffer(mapping, dtype="<f4").reshape(n_samples, n_channels)
     events = _read_events(path / EVENTS_NAME, pattern)
     try:
         return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
@@ -293,6 +329,10 @@ def _key_fault(path: Path, text: str, known: set) -> BundleError:
 
 def atomic_write(target: Path, data) -> None:
     """Write bytes, or an array's buffer, to ``target`` through a temp file."""
-    tmp = target.with_name(target.name + ".tmp")
+    tmp = _temp_path(target)
     tmp.write_bytes(data)
     os.replace(tmp, target)
+
+
+def _temp_path(target: Path) -> Path:
+    return target.with_name(target.name + ".tmp")

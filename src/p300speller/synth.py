@@ -8,28 +8,31 @@ emulating the attentional-blink penalty that makes rapid double flashes
 hard to detect; that is what separates the two paradigms downstream.
 
 The signal is rendered in blocks of ``_ROWS`` rows, each whole before it
-is cast into the one float32 result, so no whole-signal float64 array is
-ever held.  A block gets its AR(1) noise, then the rhythm, then every
-response that overlaps it, in flash order: each sample sees the float64
-operations of a whole-array render in the same order, so the bytes are
-the same.  A worker thread draws the noise, block by block in order, into
-a ring of ``_RING`` float64 block buffers.  The calling thread waits for
-block k's draw, runs the AR(1) filter over it (the noise scale as the
-numerator, the filter state carried from block to block) and hands the
-buffer back for block k + ``_RING``'s draw.  One generator makes every
-draw in block order, so the innovations are those of one (samples,
-channels) draw.  Drawing and filtering release the GIL, so on two cores
-they overlap.  The generator draws the rhythm's phases and the onset
-jitters after all the noise; when either is on, a copy of the generator
-first draws and discards the session's noise on the worker (a dry pass)
-to reach them.  Each response product (template kernel times gain, outer
+is cast to float32, so no whole-signal float64 array is ever held.  The
+float32 blocks go either into one in-memory result or, block by block,
+to a file (``simulate`` streams them to ``signal.f32.tmp``), so the
+renderer itself holds a few blocks whatever the session's length; both
+take the same blocks, so their bytes are the same.  A block gets its
+AR(1) noise, then the rhythm, then every response that overlaps it, in
+flash order: each sample sees the float64 operations of a whole-array
+render in the same order.  A worker thread draws the noise, block by
+block in order, into a ring of ``_RING`` float64 block buffers.  The
+calling thread waits for block k's draw, runs the AR(1) filter over it
+(the noise scale as the numerator, the filter state carried from block
+to block), hands the buffer back for block k + ``_RING``'s draw and
+stores or writes the block.  The generator makes every noise draw in
+block order, so the innovations are those of one (samples, channels)
+draw.  Drawing, filtering and writing release the GIL, so on two cores
+they overlap.  The rhythm's phases and the onset jitters come from a
+child stream (``Generator.spawn``), which leaves the noise stream as it
+is.  Each response product (template kernel times gain, outer
 topography) is built once per distinct gain.
 
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
 """
 
-import copy
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +151,7 @@ def synthesize_session(
     seed: int | None = None,
     visual_templates: list[ErpTemplate] | None = None,
     tail_s: float = 1.0,
+    out=None,
 ) -> Recording:
     """Render a schedule into a synthetic recording.
 
@@ -160,8 +164,11 @@ def synthesize_session(
     schedule times.
 
     The result is bit-identical for identical inputs and seed, stored as
-    float32 (the on-disk sample format), and the only whole-signal array
-    held: the rest is a few float64 blocks (see the module docstring).
+    float32 (the on-disk sample format).  Without ``out`` it is the only
+    whole-signal array held: the rest is a few float64 blocks (see the
+    module docstring).  With ``out``, a file path, each block is written
+    there as it is finished, in ``signal.f32``'s format, and the result's
+    samples map that file read-only.
     """
     if not schedule.events:
         raise ValidationError("schedule has no events")
@@ -179,41 +186,47 @@ def synthesize_session(
             )
 
     rng = np.random.default_rng(seed)
+    later = rng.spawn(1)[0]  # the phases and jitters, so that the noise is rng's whole stream
     flashes = schedule.events[schedule.events.is_flash]
     n_samples = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
     n_ch = len(channels)
+    phases = later.uniform(0.0, 2 * np.pi, n_ch) if noise.alpha_amp_uv > 0 else None
+    # one jitter draw per flash regardless of settings keeps the RNG
+    # stream independent of the blink/template configuration
+    jitters = later.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
+    by_block = _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz,
+                                   n_samples)
+    with closing(_render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng)) as blocks:
+        if out is None:
+            samples = np.empty((n_samples, n_ch), dtype=np.float32)
+            for r0, block in blocks:
+                samples[r0 : r0 + len(block)] = block
+        else:
+            with open(out, "wb") as file:
+                for _, block in blocks:
+                    file.write(block)
+            samples = np.memmap(out, dtype="<f4", mode="r", shape=(n_samples, n_ch))
+    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channels, events=schedule.events)
+
+
+def _render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng):
+    """Yield (first row, float32 block) for each ``_ROWS`` block, in order."""
     blocks = [(r0, min(r0 + _ROWS, n_samples)) for r0 in range(0, n_samples, _ROWS)]
     sigma, alpha = noise.background_sigma_uv, noise.alpha_amp_uv
     ring = [np.empty((min(_ROWS, n_samples), n_ch)) for _ in blocks[:_RING]] if sigma > 0 else []
-
-    def draws_after_noise(rng):
-        """The rhythm's phases and the jitters, which ``rng`` draws after all the noise."""
-        if sigma > 0:
-            for r0, r1 in blocks:
-                rng.standard_normal(out=ring[0][: r1 - r0])  # before block 0's draw goes there
-        phases = rng.uniform(0.0, 2 * np.pi, n_ch) if alpha > 0 else None
-        # one jitter draw per flash regardless of settings keeps the RNG
-        # stream independent of the blink/template configuration
-        return phases, rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
 
     # here, so that train and eval import neither
     from concurrent.futures import ThreadPoolExecutor
 
     from scipy import signal
 
-    samples = np.empty((n_samples, n_ch), dtype=np.float32)
     with ThreadPoolExecutor(1) as worker:
 
         def draw(k):
             r0, r1 = blocks[k]
             return worker.submit(rng.standard_normal, out=ring[k % _RING][: r1 - r0])
 
-        dry_pass = alpha > 0 or onset_jitter_s > 0
-        later = worker.submit(draws_after_noise, copy.deepcopy(rng)) if dry_pass else None
         draws = [draw(k) for k in range(len(ring))]
-        phases, jitters = later.result() if dry_pass else (None, np.zeros(len(flashes)))
-        by_block = _responses_by_block(flashes, jitters, templates, blink, visual_templates,
-                                       fs_hz, len(blocks), n_samples)
         state = np.zeros((1, n_ch))
         for k, (r0, r1) in enumerate(blocks):
             if sigma > 0:
@@ -232,13 +245,10 @@ def synthesize_session(
             for start, response in by_block[k]:
                 a, b = max(start, r0), min(start + len(response), r1)
                 block[a - r0 : b - r0] += response[a - start : b - start]
-            samples[r0:r1] = block
-
-    return Recording(fs_hz=fs_hz, samples=samples, channel_names=channels, events=schedule.events)
+            yield r0, block.astype("<f4", order="C")
 
 
-def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz, n_blocks,
-                        n_samples):
+def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz, n_samples):
     """Per ``_ROWS`` block, the (start sample, response) pairs that overlap
     it, in flash order; a response that starts outside the signal is left out."""
     starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
@@ -248,7 +258,7 @@ def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs
 
     responses = {}  # gain -> each template's response at that gain, built once
     visual = [np.outer(tpl.waveform(fs_hz), tpl.topography) for tpl in visual_templates or []]
-    by_block = [[] for _ in range(n_blocks)]
+    by_block = [[] for _ in range(0, n_samples, _ROWS)]
     for start, is_target in zip(starts.tolist(), flashes.is_target.tolist()):
         added = visual
         if is_target:

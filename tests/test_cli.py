@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p300speller import pipeline
+from p300speller import patterns, pipeline
 from p300speller.cli import main
 from p300speller.metrics import itr_bpm
 from p300speller.patterns import FlashPattern, make_constrained_pattern
@@ -57,6 +57,25 @@ class TestPattern:
         assert code == 2
         assert err.startswith(f"error: constrained construction needs n >= 3 (got {n})")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["rc", "permuted", "constrained"])
+    def test_n_above_the_ceiling_exits_2_before_allocating(self, capsys, kind):
+        # --n 100,000 once asked numpy for 74.5 GiB and exited 1 with a traceback
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(["pattern", "--kind", kind, "--n", "100000", "--seed", "1"],
+                                 capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be at most {patterns.MAX_N}, got 100000\n"
+        assert peak < 1e6
+        code, out, _ = run(["pattern", "--kind", kind, "--n", str(patterns.MAX_N), "--seed", "1"],
+                           capsys)
+        assert code == 0 and json.loads(out)["n"] == patterns.MAX_N
 
     def test_permuted_without_seed_exits_2(self, capsys):
         code, out, err = run(["pattern", "--kind", "permuted", "--n", "4"], capsys)

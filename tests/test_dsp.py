@@ -1,10 +1,12 @@
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal
 
-from p300speller import dsp
+from p300speller import dsp, pipeline, session_io
 from p300speller.dsp import (
     Recording,
     decimate,
@@ -230,6 +232,31 @@ class TestStreamedFilter:
             tracemalloc.stop()
         # the input is 51.2 MB; one whole-signal float64 pass would peak near 109 MB
         assert peak < 20e6
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/smaps")
+    def test_preprocess_drops_mapped_pages(self, tmp_path):
+        """After ``preprocess`` of a mapped bundle of three release batches, at
+        most one batch and one block of rows of its ``signal.f32`` stay
+        resident, and the result has the bytes of an in-memory recording's."""
+
+        def resident_bytes(path):
+            lines = Path("/proc/self/smaps").read_text().splitlines()
+            header = next(i for i, line in enumerate(lines) if line.endswith(str(path)))
+            return 1024 * next(int(line.split()[1]) for line in lines[header:]
+                                if line.startswith("Rss:"))
+
+        samples = np.random.default_rng(2).standard_normal((3 * dsp.RELEASE_BYTES // 32, 8),
+                                                           dtype=np.float32)
+        rec = Recording(fs_hz=FS, samples=samples, events=events(flash(0.5)))
+        session_io.write_session(rec, tmp_path / "bundle")
+        mapped = session_io.read_session(tmp_path / "bundle")
+        cfg = pipeline.PipelineConfig()
+        low = pipeline.preprocess(mapped, cfg)
+        step_bytes = dsp.FILTER_BLOCK_VALUES * 4 + 80 * dsp.FILTER_CHUNK_BLOCKS * 8 * 4
+        assert resident_bytes(tmp_path / "bundle" / "signal.f32") <= dsp.RELEASE_BYTES + step_bytes
+        assert low.samples.tobytes() == pipeline.preprocess(rec, cfg).samples.tobytes()
+        mapped.samples.sum()  # a read faults every page back in
+        assert resident_bytes(tmp_path / "bundle" / "signal.f32") >= samples.nbytes
 
 
 class TestEpochs:

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 from functools import partial
@@ -5,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from p300speller import synth
+from p300speller import session_io, synth
+from p300speller.cli import DEFAULT_TARGET_TEXT, main
 from p300speller.dsp import DEFAULT_CHANNELS
 from p300speller.patterns import make_constrained_pattern
 from p300speller.pipeline import PipelineConfig, evaluate, preprocess
@@ -222,9 +224,9 @@ class TestChanceLevel:
 
 
 class Draws:
-    """A generator whose ``failing``-th standard_normal call (counted from its
-    making, or from its copy's) raises, and that hands each call's buffer to
-    ``record``."""
+    """A generator whose ``failing``-th standard_normal call raises, and that
+    hands each call's buffer to ``record``; any other call goes to the
+    generator itself."""
 
     def __init__(self, seed, failing=None):
         self.rng, self.failing, self.draws = np.random.Generator(np.random.PCG64(seed)), failing, 0
@@ -237,18 +239,20 @@ class Draws:
             raise MemoryError("draw failed")
         return self.rng.standard_normal(out=out)
 
-    def uniform(self, *args):
-        return self.rng.uniform(*args)
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def whole_array_render(schedule, noise, fs_hz, seed, onset_jitter_s=0.0, visual_templates=(),
                        tail_s=1.0):
     """The former renderer: one (n, C) draw, the AR(1) filter along each
     channel of its C x T copy, an ``np.outer`` per response added into the
-    transposed (F-ordered) result, then the cast to C-ordered float32."""
+    transposed (F-ordered) result, then the cast to C-ordered float32.  The
+    rhythm's phases and the jitters come from the generator's spawned child."""
     from scipy import signal
 
     rng = np.random.default_rng(seed)
+    later = rng.spawn(1)[0]
     flashes = schedule.events[schedule.events.is_flash]
     n = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
     n_ch = len(DEFAULT_CHANNELS)
@@ -259,10 +263,10 @@ def whole_array_render(schedule, noise, fs_hz, seed, onset_jitter_s=0.0, visual_
     else:
         data = np.zeros((n, n_ch))
     if noise.alpha_amp_uv > 0:
-        phases = rng.uniform(0.0, 2 * np.pi, n_ch)
+        phases = later.uniform(0.0, 2 * np.pi, n_ch)
         t = np.arange(n)[:, None] / fs_hz
         data += noise.alpha_amp_uv * np.sin(2 * np.pi * noise.alpha_freq_hz * t + phases)
-    jitters = rng.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
+    jitters = later.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
     starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
     blink = BlinkModel()
     ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
@@ -349,19 +353,6 @@ class TestBackground:
             synthesize_session(schedule, seed=3, tail_s=tail_s)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("failing", [1, 3], ids=["first", "last"])
-    def test_failed_dry_pass_leaves_no_thread_running(self, schedule, monkeypatch, failing):
-        """With the rhythm on, a copy of the generator draws the noise first
-        to reach the phases; a failed draw there is raised in the caller, and
-        the drawing thread ends."""
-        monkeypatch.setattr(np.random, "default_rng", partial(Draws, failing=failing))
-        before = threading.active_count()
-        tail_s = 3 * synth._ROWS / 2000.0 - schedule.events.onset_s.max()
-        with pytest.raises(MemoryError, match="draw failed"):
-            synthesize_session(schedule, noise=NoiseModel(alpha_amp_uv=2.0), seed=3,
-                               tail_s=tail_s)
-        assert threading.active_count() == before
-
     def test_ring_buffers_taken_in_turn(self, schedule, monkeypatch):
         """Over 2 * _RING + 1 blocks with the rhythm, jitter and visual
         responses on, the worker draws into _RING buffers in turn, each only
@@ -389,12 +380,11 @@ class TestBackground:
         noise = NoiseModel(background_sigma_uv=1.5, ar_coeff=0.9, alpha_amp_uv=2.0)
         rec = synthesize_session(schedule, noise=noise, blink=BlinkModel(), seed=11, **kwargs)
         monkeypatch.undo()
-        dry, real = draws[:n], draws[n:]  # the dry pass draws first, all into the first buffer
-        assert len(real) == n and {address for address, _ in dry} == {real[0][0]}
-        for k, (address, blocks_filtered) in enumerate(real):
-            assert address == real[k % synth._RING][0]
+        assert len(draws) == n
+        for k, (address, blocks_filtered) in enumerate(draws):
+            assert address == draws[k % synth._RING][0]
             assert blocks_filtered >= k - synth._RING + 1
-        assert len({address for address, _ in real}) == synth._RING
+        assert len({address for address, _ in draws}) == synth._RING
         former = whole_array_render(schedule, noise, 2000.0, seed=11, **kwargs)
         assert rec.samples.tobytes() == former.tobytes()
 
@@ -430,7 +420,6 @@ class TestBackground:
 
         import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
 
-        from p300speller.cli import DEFAULT_TARGET_TEXT
         from p300speller.patterns import default_matrix
 
         matrix = default_matrix(6)
@@ -447,3 +436,84 @@ class TestBackground:
         n, n_ch = rec.samples.shape
         assert n > 700_000
         assert peak <= n * n_ch * 4 + (synth._RING + 5) * synth._ROWS * n_ch * 8
+
+
+class TestStreamedSimulate:
+    """``simulate`` writes each rendered block to ``signal.f32.tmp`` and renames
+    it; the library renders into one array."""
+
+    # 10 characters x 2 reps: five blocks at 2 kHz, more than the ring holds
+    ARGV = ["--seed", "4", "--reps", "2", "--targets", "THEQUICKBR"]
+
+    @pytest.mark.parametrize("args, synth_config", [
+        (["--paradigm", "cp300"], {}),
+        (["--paradigm", "xp300"], {}),
+        ([], {"fs_hz": 250.0}),
+        ([], {"alpha_amp_uv": 2.0}),
+        ([], {"onset_jitter_s": 0.01}),
+        ([], {"visual_response_scale": 0.5}),
+    ], ids=["cp300", "xp300", "250hz", "rhythm", "jitter", "visual"])
+    def test_streamed_signal_same_bytes_as_library(self, tmp_path, monkeypatch, capsys, args,
+                                                   synth_config):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": synth_config}))
+        argv = ["simulate", "--config", str(config)] + self.ARGV + args
+        assert main(argv + ["--out", str(tmp_path / "streamed")]) == 0
+        synthesize, write = synth.synthesize_session, session_io.write_session
+        monkeypatch.setattr(synth, "synthesize_session",
+                            lambda *a, out=None, **kw: synthesize(*a, **kw))
+        monkeypatch.setattr(session_io, "write_session",
+                            lambda rec, path, meta=None, streamed=False: write(rec, path, meta))
+        assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+        for name in ("signal.f32", "events.jsonl", "manifest.json"):
+            assert (tmp_path / "streamed" / name).read_bytes() == (
+                tmp_path / "whole" / name).read_bytes(), name
+        assert sorted(p.name for p in (tmp_path / "streamed").iterdir()) == [
+            "events.jsonl", "manifest.json", "signal.f32"]
+
+    @pytest.mark.parametrize("failing", [1, synth._RING + 1, 5], ids=["first", "ring-wrap", "last"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_draw_leaves_no_trace(self, tmp_path, monkeypatch, capsys, failing, existing):
+        """A draw that fails mid-render leaves no ``signal.f32.tmp``, makes no
+        ``--out`` directory (nor its missing parents), and leaves a bundle
+        already at ``--out`` as it was."""
+        import scipy.signal  # noqa: F401  (its import draws from default_rng, which is patched)
+
+        out = tmp_path / "new" / "bundle"
+        if existing:  # another seed, so a rewrite would change its bytes
+            assert main(["simulate", "--out", str(out), "--seed", "9"] + self.ARGV[2:]) == 0
+            assert (out / "signal.f32").stat().st_size == pytest.approx(
+                4.7 * synth._ROWS * len(DEFAULT_CHANNELS) * 4, rel=0.05)  # five blocks
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        monkeypatch.setattr(np.random, "default_rng", partial(Draws, failing=failing))
+        with pytest.raises(MemoryError, match="draw failed"):
+            main(["simulate", "--out", str(out)] + self.ARGV)
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not (tmp_path / "new").exists()
+
+    def test_peak_memory_does_not_grow_with_the_text(self, tmp_path, capsys):
+        """The ``tracemalloc`` peaks of ``simulate`` for 20 and 200 characters
+        differ by no more than a few float64 blocks plus the events, though
+        the signal grows by ~20 MiB."""
+        import tracemalloc
+
+        import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
+
+        peaks = []
+        for chars in (20, 200):
+            out = tmp_path / str(chars)
+            argv = ["simulate", "--out", str(out), "--seed", "1", "--reps", "1",
+                    "--targets", (DEFAULT_TARGET_TEXT * 10)[:chars]]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        signal_bytes = (out / "signal.f32").stat().st_size
+        events_bytes = (out / "events.jsonl").stat().st_size
+        block_bytes = synth._ROWS * len(DEFAULT_CHANNELS) * 8
+        assert signal_bytes > 20 * block_bytes
+        assert peaks[1] - peaks[0] <= 3 * block_bytes + events_bytes
