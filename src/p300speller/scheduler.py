@@ -29,6 +29,9 @@ from .patterns import COL_BLOCK, ROW_BLOCK, FlashPattern, validate_pattern
 
 CP300 = "cp300"
 XP300 = "xp300"
+# the most events a schedule may have, 375 times the 2,800 of the default
+# protocol: the scheduler's arrays and a bundle's events.jsonl grow with it
+MAX_EVENTS = 2**20
 
 FLASH = "flash"
 PAUSE = "pause"
@@ -215,20 +218,24 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
         flash_duration_s = isi_s / 2.0
     schedule = Schedule(paradigm, isi_s, flash_duration_s, reps, targets,
                         Events(p, *[[]] * len(COLUMNS)), gap_s)  # checked before any draw
-    rng, n = np.random.default_rng(seed), p.n
+    n, per_rep = p.n, slots_per_repetition(paradigm, p.n)
     plans = len(schedule.targets) * reps  # one shuffled plan per repetition, in time order
+    if plans * per_rep > MAX_EVENTS:  # before the plans are drawn
+        raise ValidationError(f"{len(schedule.targets)} characters x reps {reps} make "
+                              f"{plans * per_rep} events, more than the {MAX_EVENTS} allowed")
+    # every plan in one draw: row i of rng.permuted(tile, axis=1) is the
+    # rng.permutation(k) the i-th of that many calls would give
+    rng = np.random.default_rng(seed)
     if paradigm == CP300:
-        order = np.concatenate([rng.permutation(2 * n) for _ in range(plans)])
+        order = rng.permuted(np.tile(np.arange(2 * n), (plans, 1)), axis=1).ravel()
         block, flash_id = order // n, order % n + 1
     else:
         # each plan's row ids, a pause, its column ids, a pause, as one reshape
         flash_id = np.zeros((2 * plans, n + 1), dtype=np.int64)
-        flash_id[:, :n] = [rng.permutation(n) for _ in range(2 * plans)]
-        flash_id[:, :n] += 1
+        flash_id[:, :n] = rng.permuted(np.tile(np.arange(n), (2 * plans, 1)), axis=1) + 1
         flash_id = flash_id.ravel()
         block = np.tile(np.repeat([0, -1, 1, -1], [n, 1, n, 1]), plans)
     slot = np.arange(block.size)
-    per_rep = slots_per_repetition(paradigm, n)
     char_index = slot // (reps * per_rep)
     events = Events(
         pattern=p,

@@ -8,22 +8,23 @@ emulating the attentional-blink penalty that makes rapid double flashes
 hard to detect; that is what separates the two paradigms downstream.
 
 The signal is rendered in blocks of ``_ROWS`` rows, each whole before it
-is cast to float32, so no whole-signal float64 array is ever held.  The
-float32 blocks go either into one in-memory result or, block by block,
-to a file (``simulate`` streams them to ``signal.f32.tmp``), so the
-renderer itself holds a few blocks whatever the session's length; both
-take the same blocks, so their bytes are the same.  A block gets its
-AR(1) noise, then the rhythm, then every response that overlaps it, in
-flash order: each sample sees the float64 operations of a whole-array
-render in the same order.  A worker thread draws the noise, block by
-block in order, into a ring of ``_RING`` float64 block buffers.  The
-calling thread waits for block k's draw, runs the AR(1) filter over it
-(the noise scale as the numerator, the filter state carried from block
-to block), hands the buffer back for block k + ``_RING``'s draw and
-stores or writes the block.  The generator makes every noise draw in
-block order, so the innovations are those of one (samples, channels)
-draw.  Drawing, filtering and writing release the GIL, so on two cores
-they overlap.  The rhythm's phases and the onset jitters come from a
+is cast to float32, so no whole-signal float64 array is ever held.  Each
+float64 block is cast either into its rows of one in-memory result or
+into one reused float32 block that is written to a file (``simulate``
+streams to ``signal.f32.tmp``), and dropped before the next is made, so
+the renderer itself holds the ring, one block and that float32 block
+whatever the session's length; both take the same blocks, so their bytes
+are the same.  A block gets its AR(1) noise, then the rhythm, then every
+response that overlaps it, in flash order: each sample sees the float64
+operations of a whole-array render in the same order.  A worker thread
+draws the noise, block by block in order, into a ring of ``_RING`` = 2
+float64 block buffers.  The calling thread waits for block k's draw,
+runs the AR(1) filter over it (the noise scale as the numerator, the
+filter state carried from block to block), hands the buffer back for
+block k + 2's draw and stores or writes the block.  The generator makes
+every noise draw in block order, so the innovations are those of one
+(samples, channels) draw.  Drawing, filtering and writing release the
+GIL, so on two cores they overlap.  The rhythm's phases and the onset jitters come from a
 child stream (``Generator.spawn``), which leaves the noise stream as it
 is.  Each response product (template kernel times gain, outer
 topography) is built once per distinct gain.
@@ -32,8 +33,8 @@ All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
 """
 
-from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,8 +47,9 @@ from .scheduler import Schedule
 # a default xp300 session (4,096 rows took 183 and were no faster)
 _ROWS = 16384
 # float64 block buffers the worker draws into, so it runs at most this many
-# blocks ahead of the block being rendered
-_RING = 3
+# blocks ahead of the block being rendered: two let it draw block k + 1 while
+# block k is filtered (a third held another block and saved no measurable time)
+_RING = 2
 
 
 @dataclass
@@ -196,21 +198,30 @@ def synthesize_session(
     jitters = later.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
     by_block = _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz,
                                    n_samples)
-    with closing(_render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng)) as blocks:
-        if out is None:
-            samples = np.empty((n_samples, n_ch), dtype=np.float32)
-            for r0, block in blocks:
-                samples[r0 : r0 + len(block)] = block
-        else:
-            with open(out, "wb") as file:
-                for _, block in blocks:
-                    file.write(block)
-            samples = np.memmap(out, dtype="<f4", mode="r", shape=(n_samples, n_ch))
+    render = partial(_render, noise, phases, by_block, fs_hz, n_samples, n_ch, rng)
+    if out is None:
+        samples = np.empty((n_samples, n_ch), dtype=np.float32)
+
+        def store(r0, block):  # the float32 cast, straight into the result's rows
+            samples[r0 : r0 + len(block)] = block
+
+        render(store)
+    else:
+        cast = np.empty((min(_ROWS, n_samples), n_ch), dtype="<f4")  # one block, reused
+        with open(out, "wb") as file:
+
+            def store(r0, block):
+                cast[: len(block)] = block
+                file.write(cast[: len(block)])
+
+            render(store)
+        samples = np.memmap(out, dtype="<f4", mode="r", shape=(n_samples, n_ch))
     return Recording(fs_hz=fs_hz, samples=samples, channel_names=channels, events=schedule.events)
 
 
-def _render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng):
-    """Yield (first row, float32 block) for each ``_ROWS`` block, in order."""
+def _render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng, store):
+    """Call ``store(first row, float64 block)`` for each ``_ROWS`` block, in
+    order; the block is dropped before the next one is made."""
     blocks = [(r0, min(r0 + _ROWS, n_samples)) for r0 in range(0, n_samples, _ROWS)]
     sigma, alpha = noise.background_sigma_uv, noise.alpha_amp_uv
     ring = [np.empty((min(_ROWS, n_samples), n_ch)) for _ in blocks[:_RING]] if sigma > 0 else []
@@ -245,7 +256,8 @@ def _render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng):
             for start, response in by_block[k]:
                 a, b = max(start, r0), min(start + len(response), r1)
                 block[a - r0 : b - r0] += response[a - start : b - start]
-            yield r0, block.astype("<f4", order="C")
+            store(r0, block)
+            del block
 
 
 def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz, n_samples):
@@ -259,7 +271,8 @@ def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs
     responses = {}  # gain -> each template's response at that gain, built once
     visual = [np.outer(tpl.waveform(fs_hz), tpl.topography) for tpl in visual_templates or []]
     by_block = [[] for _ in range(0, n_samples, _ROWS)]
-    for start, is_target in zip(starts.tolist(), flashes.is_target.tolist()):
+    adding = slice(None) if visual else flashes.is_target  # the flashes that add a response
+    for start, is_target in zip(starts[adding].tolist(), flashes.is_target[adding].tolist()):
         added = visual
         if is_target:
             gain = next(gains)

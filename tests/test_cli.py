@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p300speller import patterns, pipeline
+from p300speller import patterns, pipeline, scheduler
 from p300speller.cli import main
 from p300speller.metrics import itr_bpm
 from p300speller.patterns import FlashPattern, make_constrained_pattern
@@ -129,6 +129,23 @@ class TestSimulate:
             args[2] = str(tmp_path / name)
             assert run(args, capsys)[0] == 0
         assert bundle_bytes(tmp_path / "a") == bundle_bytes(tmp_path / "b")
+
+    def test_reps_above_the_event_ceiling_exits_2_before_allocating(self, tmp_path, capsys):
+        # once 4 x 10^10 permutation calls, every result held until memory ran out
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(["simulate", "--out", str(tmp_path / "s"), "--seed", "1",
+                                  "--reps", "1000000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: 20 characters x reps 1000000000 make 280000000000 events, "
+                       f"more than the {scheduler.MAX_EVENTS} allowed\n")
+        assert peak < 1e6
+        assert not (tmp_path / "s").exists()
 
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

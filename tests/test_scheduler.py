@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from p300speller import scheduler
 from p300speller.dsp import Recording
 from p300speller.errors import PipelineError, ValidationError
 from p300speller.patterns import cells_for_flash, make_constrained_pattern, make_rc_pattern
@@ -60,6 +61,18 @@ class TestCp300:
             groups[(char, rep, block)].append(flash_id)
         for (char, rep, block), ids in groups.items():
             assert sorted(ids) == [1, 2, 3, 4, 5, 6], (char, rep, block)
+
+    @pytest.mark.parametrize("n, reps, seed", [(3, 1, 0), (6, 10, 7), (12, 3, 1)])
+    def test_flash_order_is_the_per_plan_draws(self, n, reps, seed):
+        """The flashes of each plan are the ``rng.permutation(2n)`` that plan
+        draws in turn, as the per-plan calls made them."""
+        targets = [(1, 1), (n, n)]
+        s = make_cp300_schedule(make_rc_pattern(n), reps=reps, isi_s=ISI, targets=targets,
+                                seed=seed)
+        rng = np.random.default_rng(seed)
+        former = np.concatenate([rng.permutation(2 * n) for _ in range(len(targets) * reps)])
+        assert s.events.block.tolist() == (former // n).tolist()
+        assert s.events.flash_id.tolist() == (former % n + 1).tolist()
 
     def test_requires_classical_pattern(self, con6):
         with pytest.raises(ValidationError, match="classical"):
@@ -324,6 +337,29 @@ class TestScheduleRules:
     def test_builders_reject_a_non_finite_isi(self, rc6, make, isi):
         with pytest.raises(ValidationError, match="ISI must be positive and finite"):
             make(rc6, reps=1, isi_s=isi, targets=[(1, 1)], seed=0)
+
+    def test_more_than_max_events_rejected_before_drawing(self, con6):
+        # 10^9 repetitions once meant 4 x 10^10 permutation calls, every result held
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                make_xp300_schedule(con6, reps=10**9, isi_s=ISI, targets=[(1, 1)] * 20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == ("20 characters x reps 1000000000 make 280000000000 events, "
+                                  f"more than the {scheduler.MAX_EVENTS} allowed")
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("make, per_rep", [(make_cp300_schedule, 12), (make_xp300_schedule, 14)])
+    def test_max_events_is_the_most_allowed(self, rc6, con6, monkeypatch, make, per_rep):
+        monkeypatch.setattr(scheduler, "MAX_EVENTS", 3 * per_rep)
+        p = rc6 if make is make_cp300_schedule else con6
+        assert len(make(p, reps=3, isi_s=ISI, targets=[(1, 1)], seed=0).events) == 3 * per_rep
+        with pytest.raises(ValidationError, match="1 characters x reps 4 make"):
+            make(p, reps=4, isi_s=ISI, targets=[(1, 1)], seed=0)
 
     def test_builders_check_before_sizing_by_reps(self, rc6):
         # a huge repetition count is never drawn when another argument is bad

@@ -412,10 +412,12 @@ class TestBackground:
             assert rec.samples.tobytes() == former.tobytes()
 
     def test_peak_memory_is_the_float32_signal_and_the_ring(self):
-        """On the default xp300 session, with the alpha rhythm on, the renderer
-        holds the float32 signal, the ring of float64 block buffers and no more
-        than five blocks besides: the filtered block, lfilter's working copies
-        and the rhythm's terms."""
+        """On the default xp300 session, the renderer holds the float32
+        signal, the responses, the ring of two float64 block buffers, the
+        filtered block and less than half a block besides (lfilter's state,
+        the per-block response lists); the rhythm adds its phase and its sine,
+        two blocks.  A third ring buffer, or a float32 block cast per pass
+        (half a block), exceeds this."""
         import tracemalloc
 
         import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
@@ -426,16 +428,23 @@ class TestBackground:
         sched = make_xp300_schedule(make_constrained_pattern(6), reps=10, isi_s=ISI,
                                     targets=[matrix.locate(ch) for ch in DEFAULT_TARGET_TEXT],
                                     seed=0)
-        tracemalloc.start()
-        try:
-            rec = synthesize_session(sched, noise=NoiseModel(alpha_amp_uv=2.0),
-                                     blink=BlinkModel(), seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n, n_ch = rec.samples.shape
-        assert n > 700_000
-        assert peak <= n * n_ch * 4 + (synth._RING + 5) * synth._ROWS * n_ch * 8
+        flashes = sched.events[sched.events.is_flash]
+        n = int(round((sched.events.onset_s.max() + 1.0) * 2000.0))
+        by_block = synth._responses_by_block(flashes, np.zeros(len(flashes)), default_templates(),
+                                             BlinkModel(), None, 2000.0, n)
+        responses = {id(r): r.nbytes for pairs in by_block for _, r in pairs}
+        block_bytes = synth._ROWS * len(DEFAULT_CHANNELS) * 8
+        for alpha_amp_uv, rhythm_blocks in ((0.0, 0), (2.0, 2)):
+            tracemalloc.start()
+            try:
+                rec = synthesize_session(sched, noise=NoiseModel(alpha_amp_uv=alpha_amp_uv),
+                                         blink=BlinkModel(), seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rec.n_samples == n > 700_000
+            held = rec.samples.nbytes + sum(responses.values()) + (2 + 1) * block_bytes
+            assert peak < held + (rhythm_blocks + 0.5) * block_bytes, alpha_amp_uv
 
 
 class TestStreamedSimulate:
@@ -495,8 +504,8 @@ class TestStreamedSimulate:
 
     def test_peak_memory_does_not_grow_with_the_text(self, tmp_path, capsys):
         """The ``tracemalloc`` peaks of ``simulate`` for 20 and 200 characters
-        differ by no more than a few float64 blocks plus the events, though
-        the signal grows by ~20 MiB."""
+        differ by no more than half a float64 block plus the events, though
+        the signal grows by ~20 MiB, and the first is a few blocks."""
         import tracemalloc
 
         import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
@@ -516,4 +525,9 @@ class TestStreamedSimulate:
         events_bytes = (out / "events.jsonl").stat().st_size
         block_bytes = synth._ROWS * len(DEFAULT_CHANNELS) * 8
         assert signal_bytes > 20 * block_bytes
-        assert peaks[1] - peaks[0] <= 3 * block_bytes + events_bytes
+        assert peaks[1] - peaks[0] <= block_bytes / 2 + events_bytes
+        # the ring of two, the filtered block, the float32 block being written
+        # and less than half a block besides (the responses, the schedule, the
+        # command's own objects): a third ring buffer, or a float32 block cast
+        # per pass, exceeds this
+        assert peaks[0] < (2 + 1 + 0.5 + 0.5) * block_bytes
