@@ -212,8 +212,13 @@ def cmd_simulate(args) -> int:
         "target_text": cfg.target_text,
         "config": asdict(cfg),
     }
-    # the signal goes to disk block by block as it is rendered
-    with session_io.streamed_signal(args.out) as signal_tmp:
+    # the signal goes to disk block by block as it is rendered, and the events
+    # a block of lines at a time while the main thread waits for a noise draw
+    with (
+        session_io.streamed_signal(args.out) as (signal_tmp, events_tmp),
+        open(events_tmp, "wb") as events_file,
+    ):
+        lines = session_io.write_events(sched.events, events_file)
         rec = synth.synthesize_session(
             sched,
             templates=synth.default_templates(s.template_scale),
@@ -224,7 +229,10 @@ def cmd_simulate(args) -> int:
             seed=synth_seed,
             visual_templates=visual,
             out=signal_tmp,
+            spare=lines,
         )
+        for _ in lines:  # the lines the render left
+            pass
     session_io.write_session(rec, args.out, meta=meta, streamed=True)
     print(
         f"wrote {args.out}: {cfg.paradigm}, {len(targets)} characters x {cfg.reps} reps, "

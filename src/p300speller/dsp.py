@@ -325,8 +325,8 @@ def extract_epochs(rec: Recording, window_s: float = 0.6) -> EpochSet:
             f"(char {flashes.char_index[i]}, rep {flashes.repetition[i]}): "
             f"needs samples [{start[i]}, {start[i] + length}) of {rec.n_samples}"
         )
-    windows = rec.samples[start[:, None] + np.arange(length)]  # E x L x C
-    rows = windows.transpose(0, 2, 1).reshape(len(flashes), length * rec.n_channels)
+    windows = np.lib.stride_tricks.sliding_window_view(rec.samples, length, axis=0)[start]
+    rows = windows.reshape(len(flashes), rec.n_channels * length)  # E x C x L, channel-major
     return EpochSet(
         epochs=rows.astype(float, copy=False),
         labels=flashes.is_target.copy(),

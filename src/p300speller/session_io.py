@@ -16,6 +16,9 @@ A bundle is a directory of three files:
   The writer's canonical line is compact JSON with sorted keys, e.g.
   ``{"block":"row","cells":[[1,2],[2,1]],"char_index":0,"flash_id":2,``
   ``"is_target":false,"kind":"flash","onset_s":0.0,"repetition":0,"slot":0}``.
+  It is written a block of ``EVENT_LINES`` lines at a time
+  (``write_events``), so the whole text is never held; a writer may
+  stream it to ``events.jsonl.tmp`` alongside the signal.
   A file of canonical lines is split into field texts by one regex pass,
   any other by ``json.loads`` of each line, re-encoded canonically.  Both
   meet one rule set, which reports first a line that is not JSON or lacks
@@ -23,7 +26,7 @@ A bundle is a directory of three files:
   integer past int64, then a non-finite onset.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
-identical inputs, and a streamed signal that fails part-way leaves no
+identical inputs, and a streamed bundle that fails part-way leaves no
 temp file and no directory made for it.  Reads verify that each file is
 a regular file, the version, that the signal size matches the manifest,
 and every event line.
@@ -52,6 +55,8 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 SIGNAL_NAME = "signal.f32"
 EVENTS_NAME = "events.jsonl"
+# events.jsonl lines formatted and written per step of ``write_events``
+EVENT_LINES = 256
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _INTEGER = r"-?(?:0|[1-9][0-9]*)"
 # every field of the canonical events.jsonl line, in its (sorted) key order,
@@ -82,19 +87,21 @@ _CANONICAL_LINE = "^" + _EVENT_OBJECT + r"\n"
 
 @contextmanager
 def streamed_signal(path):
-    """Yield the path of ``<path>/signal.f32.tmp`` for a writer to stream a
-    bundle's signal to, making the directory if need be; ``write_session(...,
-    streamed=True)`` then renames it into place.  If the writer raises, the
-    temp file goes, and so does each directory made for it, so a bundle
-    already at ``path`` is left as it was."""
+    """Yield the paths of ``<path>/signal.f32.tmp`` and ``<path>/events.jsonl.tmp``
+    for a writer to stream a bundle's signal and events to, making the
+    directory if need be; ``write_session(..., streamed=True)`` then renames
+    them into place.  If the writer raises, both temp files go, and so does
+    each directory made for them, so a bundle already at ``path`` is left as
+    it was."""
     path = Path(path)
     made = list(takewhile(lambda directory: not directory.exists(), [path, *path.parents]))
     path.mkdir(parents=True, exist_ok=True)
-    tmp = _temp_path(path / SIGNAL_NAME)
+    temps = [_temp_path(path / name) for name in (SIGNAL_NAME, EVENTS_NAME)]
     try:
-        yield tmp
+        yield temps
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
         with suppress(OSError):
             for directory in made:  # the deepest first
                 directory.rmdir()
@@ -103,8 +110,8 @@ def streamed_signal(path):
 
 def write_session(rec: Recording, path, meta: dict | None = None, streamed: bool = False) -> None:
     """Write a recording as a bundle directory; ``meta`` gains the events' pattern.
-    ``streamed``: the signal is already in ``<path>/signal.f32.tmp`` (see
-    ``streamed_signal``), and is renamed, not written."""
+    ``streamed``: the signal and the events are already in their temp files
+    (see ``streamed_signal``), and are renamed, not written."""
     if rec.events is None:  # a bundle without meta.pattern could not be read back
         raise ValidationError("a bundle needs the recording's events and their pattern")
     path = Path(path)
@@ -122,7 +129,10 @@ def write_session(rec: Recording, path, meta: dict | None = None, streamed: bool
         os.replace(_temp_path(path / SIGNAL_NAME), path / SIGNAL_NAME)
     else:
         atomic_write(path / SIGNAL_NAME, np.ascontiguousarray(rec.samples, dtype="<f4"))
-    atomic_write(path / EVENTS_NAME, events_jsonl(rec.events).encode())
+        with open(_temp_path(path / EVENTS_NAME), "wb") as file:
+            for _ in write_events(rec.events, file):
+                pass
+    os.replace(_temp_path(path / EVENTS_NAME), path / EVENTS_NAME)
     atomic_write(
         path / MANIFEST_NAME,
         (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
@@ -130,24 +140,42 @@ def write_session(rec: Recording, path, meta: dict | None = None, streamed: bool
 
 
 def events_jsonl(events: Events) -> str:
-    """One canonical line (compact, key-sorted JSON) per event: each (block,
+    """One canonical line (compact, key-sorted JSON) per event: the join of
+    ``_event_blocks``, whose blocks ``write_events`` writes."""
+    return "".join(_event_blocks(events))
+
+
+def write_events(events: Events, file):
+    """Write ``events_jsonl(events)`` to the binary ``file`` ``EVENT_LINES``
+    lines at a time: a generator that formats and writes one block per step,
+    so a caller can take the steps in between other work."""
+    for text in _event_blocks(events):
+        file.write(text.encode())
+        yield
+
+
+def _event_blocks(events: Events):
+    """The canonical lines of ``EVENT_LINES`` events at a time: each (block,
     flash_id) of the pattern has one %-format string holding its key fields'
-    JSON, and each event fills in the fields that vary."""
+    JSON, and each event fills in the fields that vary, from columns built a
+    block at a time."""
     formats = {}
     for key, texts in _key_texts(events.pattern).items():
         fields = (f'"{name}":' + (texts[name].replace("%", "%%") if name in texts else "%s")
                   for name in _EVENT_FIELDS)
         formats[key] = "{" + ",".join(fields) + "}\n"
-    columns = {
-        "char_index": events.char_index.tolist(),
-        "is_target": list(map(("false", "true").__getitem__, events.is_target.tolist())),
-        "onset_s": list(map(repr, events.onset_s.tolist())),  # finite, as Recording checks
-        "repetition": events.repetition.tolist(),
-        "slot": events.slot.tolist(),
-    }
-    keys = zip(events.block.tolist(), events.flash_id.tolist())
-    rows = zip(*map(columns.get, _VARYING_FIELDS))
-    return "".join(map(str.__mod__, map(formats.__getitem__, keys), rows))
+    for i in range(0, len(events), EVENT_LINES):
+        part = events[i : i + EVENT_LINES]
+        columns = {
+            "char_index": part.char_index.tolist(),
+            "is_target": list(map(("false", "true").__getitem__, part.is_target.tolist())),
+            "onset_s": list(map(repr, part.onset_s.tolist())),  # finite, as Recording checks
+            "repetition": part.repetition.tolist(),
+            "slot": part.slot.tolist(),
+        }
+        keys = zip(part.block.tolist(), part.flash_id.tolist())
+        rows = zip(*map(columns.get, _VARYING_FIELDS))
+        yield "".join(map(str.__mod__, map(formats.__getitem__, keys), rows))
 
 
 def _cells_by_key(pattern: FlashPattern) -> dict:

@@ -18,10 +18,14 @@ are the same.  A block gets its AR(1) noise, then the rhythm, then every
 response that overlaps it, in flash order: each sample sees the float64
 operations of a whole-array render in the same order.  A worker thread
 draws the noise, block by block in order, into a ring of ``_RING`` = 2
-float64 block buffers.  The calling thread waits for block k's draw,
-runs the AR(1) filter over it (the noise scale as the numerator, the
-filter state carried from block to block), hands the buffer back for
-block k + 2's draw and stores or writes the block.  The generator makes
+float64 block buffers.  The calling thread queues the first draws, then
+builds the response table, waits for block k's draw, runs the AR(1)
+filter over it (the noise scale as the numerator, the filter state
+carried from block to block), hands the buffer back for block k + 2's
+draw and stores or writes the block.  While block k is still being
+drawn it takes steps of the caller's spare work (``simulate`` writes
+``events.jsonl`` a block of lines per step), one at a time, and none
+once the block is drawn.  The generator makes
 every noise draw in block order, so the innovations are those of one
 (samples, channels) draw.  Drawing, filtering and writing release the
 GIL, so on two cores they overlap.  The rhythm's phases and the onset jitters come from a
@@ -154,6 +158,7 @@ def synthesize_session(
     visual_templates: list[ErpTemplate] | None = None,
     tail_s: float = 1.0,
     out=None,
+    spare=(),
 ) -> Recording:
     """Render a schedule into a synthetic recording.
 
@@ -170,7 +175,9 @@ def synthesize_session(
     whole-signal array held: the rest is a few float64 blocks (see the
     module docstring).  With ``out``, a file path, each block is written
     there as it is finished, in ``signal.f32``'s format, and the result's
-    samples map that file read-only.
+    samples map that file read-only.  ``spare``: an iterable of other work,
+    whose next step is taken only while the noise block the renderer needs
+    is still being drawn; the steps left at the end are the caller's.
     """
     if not schedule.events:
         raise ValidationError("schedule has no events")
@@ -196,9 +203,9 @@ def synthesize_session(
     # one jitter draw per flash regardless of settings keeps the RNG
     # stream independent of the blink/template configuration
     jitters = later.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
-    by_block = _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz,
-                                   n_samples)
-    render = partial(_render, noise, phases, by_block, fs_hz, n_samples, n_ch, rng)
+    responses = partial(_responses_by_block, flashes, jitters, templates, blink,
+                        visual_templates, fs_hz, n_samples)
+    render = partial(_render, noise, phases, responses, fs_hz, n_samples, n_ch, rng, spare)
     if out is None:
         samples = np.empty((n_samples, n_ch), dtype=np.float32)
 
@@ -219,9 +226,11 @@ def synthesize_session(
     return Recording(fs_hz=fs_hz, samples=samples, channel_names=channels, events=schedule.events)
 
 
-def _render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng, store):
+def _render(noise, phases, responses, fs_hz, n_samples, n_ch, rng, spare, store):
     """Call ``store(first row, float64 block)`` for each ``_ROWS`` block, in
-    order; the block is dropped before the next one is made."""
+    order; the block is dropped before the next one is made.  ``responses()``
+    gives ``_responses_by_block``'s lists once the first draws are queued, and
+    a step of ``spare`` is taken whenever the next block's draw is not done."""
     blocks = [(r0, min(r0 + _ROWS, n_samples)) for r0 in range(0, n_samples, _ROWS)]
     sigma, alpha = noise.background_sigma_uv, noise.alpha_amp_uv
     ring = [np.empty((min(_ROWS, n_samples), n_ch)) for _ in blocks[:_RING]] if sigma > 0 else []
@@ -238,9 +247,14 @@ def _render(noise, phases, by_block, fs_hz, n_samples, n_ch, rng, store):
             return worker.submit(rng.standard_normal, out=ring[k % _RING][: r1 - r0])
 
         draws = [draw(k) for k in range(len(ring))]
+        by_block = responses()
+        spare = iter(spare)
         state = np.zeros((1, n_ch))
         for k, (r0, r1) in enumerate(blocks):
             if sigma > 0:
+                # zip polls done() first, so no step is taken once the block is drawn
+                for _ in zip(iter(draws[k].done, True), spare):
+                    pass
                 draws[k].result()
                 # lfilter writes a new array, so the buffer takes block k + _RING's draw now
                 block, state = signal.lfilter(

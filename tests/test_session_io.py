@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from p300speller import pipeline, session_io
 from p300speller.cli import main
 from p300speller.dsp import Recording
 from p300speller.errors import BundleError, ValidationError
-from p300speller.patterns import make_constrained_pattern, make_rc_pattern
+from p300speller.patterns import default_matrix, make_constrained_pattern, make_rc_pattern
 from p300speller.scheduler import (
     BLOCKS, COLUMNS, FLASH, Events, make_cp300_schedule, make_xp300_schedule,
 )
@@ -69,6 +70,52 @@ class TestWrite:
         pattern = recording.events.pattern.to_json()
         assert manifest["meta"] == {"paradigm": "xp300", "seed": 3, "pattern": pattern}
         assert meta == {"paradigm": "xp300", "seed": 3}  # the caller's dict is not changed
+
+
+@pytest.fixture(scope="module")
+def events():
+    """559 events: neither a multiple of 7 nor of the default block of lines."""
+    sched = make_xp300_schedule(make_constrained_pattern(6), reps=10, isi_s=0.133,
+                                targets=[(1, 1), (3, 4), (6, 6), (2, 5)], seed=7)
+    return sched.events[:-1]
+
+
+class TestEventWriter:
+    """``write_events`` writes ``events_jsonl``'s bytes a block of lines per step."""
+
+    @pytest.mark.parametrize("lines", [1, 7, session_io.EVENT_LINES])
+    def test_same_bytes_as_events_jsonl(self, events, lines, monkeypatch):
+        assert len(events) == 559
+        expected = events_jsonl(events).encode()  # at the default block of lines
+        monkeypatch.setattr(session_io, "EVENT_LINES", lines)
+        file = io.BytesIO()
+        steps = sum(1 for _ in session_io.write_events(events, file))
+        assert steps == math.ceil(len(events) / lines)
+        assert file.getvalue() == expected
+
+    def test_empty_table(self, events):
+        file = io.BytesIO()
+        assert list(session_io.write_events(events[:0], file)) == []
+        assert file.getvalue() == b"" == events_jsonl(events[:0]).encode()
+
+    def test_write_session_holds_a_few_blocks_of_lines(self, tmp_path):
+        """Writing 28,000 events (a 4.7 MB file) peaks under eight blocks of
+        lines; the whole text, its lines and its encoding took 15 MB."""
+        matrix = default_matrix(6)
+        targets = [matrix.locate(ch) for ch in "THEQUICKBROWNFOX1234" * 10]
+        sched = make_xp300_schedule(make_constrained_pattern(6), reps=10, isi_s=0.133,
+                                    targets=targets, seed=0)
+        n = int(sched.events.onset_s.max()) + 2  # at 1 Hz, a 130 kB signal
+        rec = Recording(fs_hz=1.0, samples=np.zeros((n, 8), dtype=np.float32), events=sched.events)
+        tracemalloc.start()
+        try:
+            write_session(rec, tmp_path / "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "s" / "events.jsonl").stat().st_size
+        assert len(rec.events) == 28000 and size > 4_500_000
+        assert peak < 8 * session_io.EVENT_LINES * size / len(rec.events)
 
 
 class TestRoundTrip:
