@@ -32,6 +32,11 @@ FILTER_CHUNK_BLOCKS = 16  # q-sample blocks per chunk, mapped by one operator in
 # mapped bytes filter_recording has read before it drops their pages: 1 MiB
 # (two to four row blocks) costs 2-4% of a 2 kHz filter pass against 8 MiB
 RELEASE_BYTES = 1 << 20
+# the largest Butterworth prototype order design_bandpass takes: above every
+# order whose 1-12.5 Hz design stays finite (72 at 50 Hz, 56 at 250 Hz, 42 at
+# 2 kHz), and filter_recording's chunk operator, which grows as the order
+# squared, stays under 6 MB at it
+MAX_FILTER_ORDER = 100
 
 
 @dataclass
@@ -109,11 +114,18 @@ def design_bandpass(
     from the unit circle to the nearest, the gain sits in the first, and
     the zeros at z = -1 go to the first sections and those at z = 1 to the
     last, as in scipy.signal.butter(..., output="sos").
+
+    An order above ``MAX_FILTER_ORDER``, or one whose gain is not a finite
+    positive float64 (the gain's numerator and denominator each grow as a
+    power of the order), is a ValidationError naming ``filter_order``,
+    raised before anything of the order's size is allocated.
     """
     if not 0 < low_hz < high_hz:
         raise ValidationError("need 0 < low_hz < high_hz")
     if order < 1:
         raise ValidationError(f"filter order must be >= 1, got {order}")
+    if order > MAX_FILTER_ORDER:
+        raise ValidationError(f"filter_order must be at most {MAX_FILTER_ORDER}, got {order}")
     if high_hz >= fs_hz / 2:
         raise ValidationError(
             f"high band edge {high_hz} Hz is at or above Nyquist ({fs_hz / 2} Hz)"
@@ -128,7 +140,11 @@ def design_bandpass(
     if np.any(np.abs(poles) >= 1.0):
         raise PipelineError("designed filter is unstable (pole on or outside unit circle)")
     # ``order`` zeros at s = 0 land on z = 1, and ``order`` at infinity on z = -1
-    gain = np.real((width * fs2) ** order / np.prod(fs2 - analog))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        gain = np.real((width * fs2) ** order / np.prod(fs2 - analog))
+    if not 0 < gain < np.inf:
+        raise ValidationError(f"filter_order {order} has no finite design for {low_hz}-{high_hz} "
+                              f"Hz at {fs_hz} Hz (its gain is {float(gain)})")
     real = np.sort(poles[poles.imag == 0].real)  # two at most: odd order, wide band
     pairs = [(p, p.conjugate()) for p in poles[poles.imag > 0]] + list(zip(real[::2], real[1::2]))
     pairs.sort(key=lambda pair: max(abs(pair[0]), abs(pair[1])))

@@ -19,11 +19,21 @@ A bundle is a directory of three files:
   It is written a block of ``EVENT_LINES`` lines at a time
   (``write_events``), so the whole text is never held; a writer may
   stream it to ``events.jsonl.tmp`` alongside the signal.
-  A file of canonical lines is split into field texts by one regex pass,
-  any other by ``json.loads`` of each line, re-encoded canonically.  Both
-  meet one rule set, which reports first a line that is not JSON or lacks
-  or mistypes a field, then a key or cells not of the pattern, then an
-  integer past int64, then a non-finite onset.
+  The reader has three lanes and one rule set.  A file of canonical lines,
+  each ending in a newline (``\r\n`` and ``\r`` end a line too), passes one
+  group-free line regex, matched over windows of about 32 KiB of whole
+  lines; numpy then finds each line's nine colons, compares its block and
+  cells, flash_id and kind texts with the pattern's, byte for byte, reads
+  its integers from their digits, ``is_target`` from its first byte and its
+  onset by ``float`` of its slice.  A canonical file that breaks a rule, or
+  holds an integer text longer than 18 bytes, is cut into field texts at
+  those colons instead; any other file is read by ``json.loads`` of each
+  line, re-encoded canonically.  The field texts meet the same rules as the
+  array lane, which report first a line that is not JSON or lacks or
+  mistypes a field, then a key or cells not of the pattern, then an integer
+  past int64, then a non-finite onset.  The line regex is the same for
+  every pattern: ``re`` keeps each pattern it compiles (up to 512), and a
+  line regex built from a pattern's key texts held 160-200 kB per pattern.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
 identical inputs, and a streamed bundle that fails part-way leaves no
@@ -49,7 +59,7 @@ import numpy as np
 from .dsp import Recording
 from .errors import BundleError, ValidationError
 from .patterns import FlashPattern, cells_for_flash, pair_table
-from .scheduler import BLOCKS, FLASH, PAUSE, Events
+from .scheduler import BLOCKS, COLUMNS, FLASH, PAUSE, Events
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -82,7 +92,17 @@ _MUST_BE = {"char_index": "a JSON integer", "is_target": "true or false",
 _EVENT_OBJECT = (
     r"\{" + ",".join(f'"{name}":({regex})' for name, regex in _EVENT_FIELDS.items()) + r"\}"
 )
-_CANONICAL_LINE = "^" + _EVENT_OBJECT + r"\n"
+# whole canonical lines, without groups, so that a match keeps no substrings
+_CANONICAL_LINES = (
+    r"(?:\{" + ",".join(f'"{name}":(?:{regex})' for name, regex in _EVENT_FIELDS.items())
+    + r"\}\n)*"
+).encode()
+# bytes of whole lines per match of _CANONICAL_LINES, whose ``*`` holds about
+# 1.5 KB of backtracking state per line until the match returns
+_CHECK_BYTES = 1 << 15
+# bytes from the end of a field's value to the next field's value: ,"name":
+_NEXT_KEYS = [len(f',"{name}":') for name in list(_EVENT_FIELDS)[1:]]
+_INDEX = {name: i for i, name in enumerate(_EVENT_FIELDS)}
 
 
 @contextmanager
@@ -227,10 +247,9 @@ def read_manifest(path) -> dict:
     if not isinstance(manifest, dict):
         raise BundleError(f"{path / MANIFEST_NAME}: not a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise BundleError(
-            f"{path}: unsupported format version {version!r} (expected {FORMAT_VERSION})"
-        )
+    if type(version) is not int or version != FORMAT_VERSION:  # not true, not 1.0
+        raise BundleError(f"{path / MANIFEST_NAME}: unsupported format_version {version!r} "
+                          f"(expected the JSON integer {FORMAT_VERSION})")
     return manifest
 
 
@@ -239,13 +258,25 @@ def read_session(path) -> Recording:
     path = Path(path)
     manifest = read_manifest(path)
     try:
-        n_samples = int(manifest["n_samples"])
-        n_channels = int(manifest["n_channels"])
-        fs_hz = float(manifest["fs_hz"])
-        channel_names = tuple(manifest["channel_names"])
+        n_samples, n_channels, fs_hz, channel_names = (
+            manifest[name] for name in ("n_samples", "n_channels", "fs_hz", "channel_names"))
+    except KeyError as exc:
+        raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
+    for name, value, typed, must_be in (  # by JSON type, as json.loads gives them
+        ("n_samples", n_samples, type(n_samples) is int, "a JSON integer"),
+        ("n_channels", n_channels, type(n_channels) is int, "a JSON integer"),
+        ("fs_hz", fs_hz, type(fs_hz) in (int, float), "a JSON number"),
+        ("channel_names", channel_names,
+         type(channel_names) is list and all(type(c) is str for c in channel_names),
+         "a list of strings"),
+    ):
+        if not typed:
+            raise BundleError(f"{path / MANIFEST_NAME}: {name} must be {must_be}, got {value!r}")
+    try:
+        fs_hz, channel_names = float(fs_hz), tuple(channel_names)
         if not (n_samples > 0 and n_channels == len(channel_names) > 0 and 0 < fs_hz < np.inf):
             raise ValueError("needs samples, one name per channel and a finite rate > 0")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer rate past float
         raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
     try:
         pattern = FlashPattern.from_json(manifest["meta"]["pattern"])
@@ -272,18 +303,29 @@ def read_session(path) -> Recording:
 
 
 def _read_events(path: Path, pattern: FlashPattern) -> Events:
-    """Parse events.jsonl into each line's field texts (one regex pass over a
-    file of canonical lines, else ``_json_rows``), then check those texts."""
-    try:
-        text = read_text(path)
-    except UnicodeDecodeError as exc:
-        raise BundleError(f"{path}: {exc}") from exc
-    rows = re.findall(_CANONICAL_LINE, text, re.MULTILINE | re.ASCII)
-    if text[-1:] in ("", "\n") and len(rows) == text.count("\n"):
-        linenos = range(1, len(rows) + 1)
+    """Parse events.jsonl: a file of canonical lines by ``_canonical_events``;
+    else, or if that finds a fault, into each line's field texts (cut at the
+    colons of canonical lines, else by ``_json_rows``), then check those texts."""
+    _regular_file_size(path)
+    raw = path.read_bytes()
+    # \r\n and \r end a line too, as a text-mode read and ``_json_rows`` take them
+    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+    if _canonical(data):
+        starts, ends = _value_spans(data)
+        events = _canonical_events(data, starts, ends, pattern)
+        if events is not None:
+            return events
+        text = data.decode()
+        columns = {name: list(map(text.__getitem__, map(slice, start.tolist(), end.tolist())))
+                   for name, start, end in zip(_EVENT_FIELDS, starts.T, ends.T)}
+        linenos = range(1, len(starts) + 1)
     else:
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise BundleError(f"{path}: {exc}") from exc
         rows, linenos = _json_rows(path, text)
-    columns = dict(zip(_EVENT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_EVENT_FIELDS, ())
+        columns = dict(zip(_EVENT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_EVENT_FIELDS, ())
     texts = _key_texts(pattern)
     known = {tuple(map(key_texts.get, _KEY_FIELDS)) for key_texts in texts.values()}
     if not set(zip(*map(columns.get, _KEY_FIELDS))) <= known:  # once per distinct key
@@ -310,6 +352,109 @@ def _read_events(path: Path, pattern: FlashPattern) -> Events:
         i = infinite[0]
         raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, got {onset_s[i]!r}")
     return events
+
+
+def _canonical(data: bytes) -> bool:
+    """Whether ``data`` is whole canonical lines, matched ``_CHECK_BYTES`` of
+    lines at a time."""
+    lines = re.compile(_CANONICAL_LINES)
+    start = 0
+    while start < len(data):
+        end = data.rfind(b"\n", start, start + _CHECK_BYTES) + 1 or data.find(b"\n", start) + 1
+        if not (end and lines.fullmatch(data, start, end)):
+            return False
+        start = end
+    return True
+
+
+def _value_spans(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where each field's value starts and ends, one row per line and one
+    column per field, in canonical lines: a value starts after its key's
+    colon, the line's only colons, and ends where ``,"name":`` of the next
+    field starts, or the last at its line's ``}``."""
+    colons = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(":"))
+    starts = colons.reshape(-1, len(_EVENT_FIELDS)) + 1
+    ends = np.empty_like(starts)
+    ends[:, :-1] = starts[:, 1:] - _NEXT_KEYS
+    ends[:-1, -1] = starts[1:, 0] - len('}\n{"block":')
+    ends[-1:, -1] = len(data) - len("}\n")
+    return starts, ends
+
+
+def _canonical_events(data: bytes, starts: np.ndarray, ends: np.ndarray,
+                      pattern: FlashPattern) -> Events | None:
+    """The events of canonical lines whose field values lie at
+    ``data[starts:ends]`` (one column per field), or None if a line breaks a
+    rule or holds an integer text longer than 18 bytes, for the caller's
+    checks to name: each line's key texts must equal those of a key of the
+    pattern, byte for byte, and its integers are read from their digits."""
+    if not len(starts):
+        return Events(pattern, *[[]] * len(COLUMNS))
+    codes = np.frombuffer(data, np.uint8)
+    integers = [_integers(codes, starts[:, _INDEX[name]], ends[:, _INDEX[name]])
+                for name in ("flash_id", "char_index", "repetition", "slot")]
+    if any(values is None for values in integers):
+        return None
+    flash_id, char_index, repetition, slot = integers
+    # which key each line names: the pause, then each row flash, then each
+    # column flash; the second byte of "row", "col" or null tells them apart
+    n = pattern.n
+    second = codes[starts[:, _INDEX["block"]] + 1]
+    flash = (second == ord("r")) | (second == ord("c"))
+    if not np.all((flash & (flash_id >= 1) & (flash_id <= n)) | (second == ord("u"))):
+        return None
+    key = np.where(flash, flash_id + n * (second == ord("c")), 0)
+    keys = [(-1, 0)] + [(block, f) for block in range(len(BLOCKS)) for f in range(1, n + 1)]
+    key_texts = _key_texts(pattern)
+    texts = [key_texts[k] for k in keys]
+    for first, last, expected in (
+        ("block", "cells", [f'{t["block"]},"cells":{t["cells"]}' for t in texts]),  # one span
+        ("flash_id", "flash_id", [t["flash_id"] for t in texts]),
+        ("kind", "kind", [t["kind"] for t in texts]),
+    ):
+        if not _spans_equal(codes, starts[:, _INDEX[first]], ends[:, _INDEX[last]], key, expected):
+            return None
+    onsets = map(slice, starts[:, _INDEX["onset_s"]].tolist(), ends[:, _INDEX["onset_s"]].tolist())
+    onset_s = np.array(list(map(float, map(data.__getitem__, onsets))))
+    if not np.isfinite(onset_s).all():
+        return None
+    key_block, key_flash_id = np.array(keys).T
+    return Events(
+        pattern, onset_s=onset_s, slot=slot, char_index=char_index, repetition=repetition,
+        block=key_block[key], flash_id=key_flash_id[key],
+        is_target=codes[starts[:, _INDEX["is_target"]]] == ord("t"),
+    )
+
+
+def _spans_equal(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, key: np.ndarray,
+                 texts: list) -> bool:
+    """Whether every line's ``codes[starts:ends]`` is the text of its key."""
+    encoded = [text.encode() for text in texts]
+    lengths = np.array(list(map(len, encoded)))
+    if not np.array_equal(ends - starts, lengths[key]):
+        return False
+    size = int(lengths.max())
+    table = np.frombuffer(b"".join(text.ljust(size, b"\0") for text in encoded), np.uint8)
+    table = table.reshape(len(encoded), size)
+    for length in np.unique(lengths).tolist():  # one gather per length of text
+        lines = np.flatnonzero(lengths[key] == length)
+        window = np.lib.stride_tricks.sliding_window_view(codes, length)[starts[lines]]
+        if not np.array_equal(window, table[key[lines], :length]):
+            return False
+    return True
+
+
+def _integers(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The values of the decimal integers at ``codes[starts:ends]`` (a minus
+    or not, then digits), or None if one is more than 18 bytes long."""
+    widths = ends - starts
+    if widths.max() > 18:  # so no value passes int64
+        return None
+    values = np.zeros(starts.shape, np.int64)
+    for place in range(int(widths.max())):  # the digit of each 10**place, from the right
+        digit = codes[ends - 1 - place].astype(np.int64) - ord("0")
+        values += np.where((place < widths) & (digit >= 0), digit, 0) * 10**place  # not the minus
+    return np.where(codes[starts] == ord("-"), -values, values)
 
 
 def _json_rows(path: Path, text: str) -> tuple[list, list]:

@@ -147,6 +147,34 @@ class TestSimulate:
         assert peak < 1e6
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_filter_order_above_the_ceiling_exits_2_before_allocating(self, tmp_path, capsys,
+                                                                      command):
+        """Order 100,000 once asked filter_recording's operators for 298 GiB
+        in train, and simulate wrote a bundle that train could not use."""
+        import tracemalloc
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 1, "target_text": "AB", "synth": {"fs_hz": 250}}))
+        argv = ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg)]
+        if command == "train":
+            assert main(argv) == 0
+            argv = ["train", "--session", str(tmp_path / "s"), "--out", str(tmp_path / "m"),
+                    "--config", str(cfg)]
+        capsys.readouterr()
+        cfg.write_text(json.dumps({"reps": 1, "target_text": "AB", "synth": {"fs_hz": 250},
+                                   "pipeline": {"filter_order": 100000}}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == "error: filter_order must be at most 100, got 100000\n"
+        assert peak < 1e6
+        assert not (tmp_path / ("s" if command == "simulate" else "m")).exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "s")])
@@ -169,8 +197,10 @@ class TestSimulate:
          "sampling rate 250.5 Hz is not an integer multiple of 25.0 Hz"),
         ('{"pipeline": {"low_hz": 20.0}}', "need 0 < low_hz < high_hz"),
         ('{"pipeline": {"filter_order": 0}}', "filter order must be >= 1, got 0"),
+        ('{"synth": {"fs_hz": 250}, "pipeline": {"filter_order": 60}}',
+         "filter_order 60 has no finite design for 1.0-12.5 Hz at 250 Hz (its gain is nan)"),
     ], ids=["not-json", "array", "rate-below-band", "rate-not-decimable", "low-above-high",
-            "order-0"])
+            "order-0", "filter_order-without-a-finite-design"])
     def test_unusable_config_exits_2(self, tmp_path, capsys, raw, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(raw)

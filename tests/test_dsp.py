@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import signal
 
 from p300speller import dsp, pipeline, session_io
 from p300speller.dsp import (
+    MAX_FILTER_ORDER,
     Recording,
     decimate,
     design_bandpass,
@@ -62,6 +64,25 @@ class TestDesign:
         spec = design_bandpass(FS)
         for section in spec.sos:
             assert np.all(np.abs(np.roots(section[3:])) < 1.0)
+
+    @pytest.mark.parametrize("fs, order", [(2000.0, 43), (250.0, 57), (50.0, 73),
+                                           (2000.0, MAX_FILTER_ORDER + 1),
+                                           (50.0, MAX_FILTER_ORDER + 1)])
+    def test_filter_order_without_a_finite_design_rejected(self, fs, order):
+        """The gain's numerator and denominator overflow from these orders on;
+        the rejection names the knob and raises no numpy warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^filter_order (must be at most|{order})"):
+                design_bandpass(fs, 1.0, 12.5, order)
+
+    @pytest.mark.parametrize("fs, order", [(2000.0, 42), (250.0, 56), (50.0, 72)])
+    def test_highest_filter_order_with_a_finite_design(self, fs, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = design_bandpass(fs, 1.0, 12.5, order)
+        assert np.isfinite(spec.sos).all() and spec.sos[0, 0] > 0
+        assert order < MAX_FILTER_ORDER
 
     def test_band_above_nyquist_rejected(self):
         with pytest.raises(ValidationError, match="Nyquist"):

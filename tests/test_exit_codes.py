@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -94,8 +94,17 @@ META_KEYS = ["paradigm", "reps", "isi_s", "flash_duration_s", "inter_char_gap_s"
              "pattern", "seed"]
 EVENT_KEYS = ["onset_s", "kind", "block", "flash_id", "cells", "char_index", "repetition",
               "is_target", "slot"]
+# a manifest field given another JSON type than it has: each exits 3 naming the
+# field, not only with some code of the contract
+MANIFEST_TYPE_EDITS = [
+    ("n_samples", "string"), ("n_samples", "true"), ("n_samples", "fraction"),
+    ("n_channels", "string"), ("n_channels", "true"), ("fs_hz", "string"), ("fs_hz", "true"),
+    ("channel_names", "string"), ("channel_names", "integers"),
+    ("format_version", "true"), ("format_version", "fraction"),
+]
 BUNDLE_CHANGES = st.one_of(
     st.tuples(st.just("manifest"), st.sampled_from(MANIFEST_KEYS), JSON_VALUES),
+    st.tuples(st.just("manifest-type"), st.sampled_from(MANIFEST_TYPE_EDITS), st.none()),
     st.tuples(st.just("meta"), st.sampled_from(META_KEYS), JSON_VALUES),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True), st.none()),
     st.tuples(st.just("event"), st.integers(0, 10**6), st.one_of(
@@ -104,8 +113,8 @@ BUNDLE_CHANGES = st.one_of(
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
-def run_twice(argv) -> int:
-    """Exit code of ``main(argv)``, after checking that a second run agrees."""
+def run_twice(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, after checking that a second run agrees."""
     results = []
     for _ in range(2):
         err = io.StringIO()
@@ -115,7 +124,7 @@ def run_twice(argv) -> int:
         assert "Traceback" not in err.getvalue()
         results.append((code, err.getvalue()))
     assert results[0] == results[1]
-    return results[0][0]
+    return results[0]
 
 
 def with_overrides(overrides) -> dict:
@@ -138,7 +147,7 @@ def test_any_config(overrides):
         cfg = tmp / "cfg.json"
         cfg.write_text(json.dumps(with_overrides(overrides)))
         bundle = tmp / "s"
-        if run_twice(["simulate", "--out", bundle, "--seed", 1, "--config", cfg]) != 0:
+        if run_twice(["simulate", "--out", bundle, "--seed", 1, "--config", cfg])[0] != 0:
             return
         run_twice(["train", "--session", bundle, "--out", tmp / "m", "--config", cfg])
         run_twice(["eval", "--train-session", bundle, "--test-session", bundle,
@@ -156,9 +165,15 @@ def small_bundle(tmp_path_factory):
 
 def corrupt(bundle: Path, change) -> None:
     kind, where, value = change
-    if kind in ("manifest", "meta"):
+    if kind in ("manifest", "meta", "manifest-type"):
         manifest = json.loads((bundle / "manifest.json").read_text())
-        (manifest if kind == "manifest" else manifest["meta"])[where] = value
+        if kind == "manifest-type":
+            where, how = where
+            old = manifest[where]
+            value = {"string": lambda: "".join(old) if isinstance(old, list) else str(old),
+                     "true": lambda: True, "fraction": lambda: old + 0.5,
+                     "integers": lambda: list(range(len(old)))}[how]()
+        (manifest["meta"] if kind == "meta" else manifest)[where] = value
         (bundle / "manifest.json").write_text(json.dumps(manifest))
     elif kind == "truncate":
         data = (bundle / "signal.f32").read_bytes()
@@ -176,13 +191,26 @@ def corrupt(bundle: Path, change) -> None:
         (bundle / "events.jsonl").write_text("\n".join(lines) + "\n")
 
 
-@given(BUNDLE_CHANGES)
+def manifest_type_examples(test):
+    for edit in MANIFEST_TYPE_EDITS:
+        test = example(change=("manifest-type", edit, None))(test)
+    return test
+
+
+@given(change=BUNDLE_CHANGES)
+@manifest_type_examples
 @SETTINGS
 def test_any_bundle(small_bundle, change):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copytree(small_bundle, tmp / "b")
         corrupt(tmp / "b", change)
-        run_twice(["train", "--session", tmp / "b", "--out", tmp / "m"])
-        run_twice(["eval", "--train-session", small_bundle, "--test-session", tmp / "b",
-                   "--out", tmp / "e", "--swap"])
+        results = [
+            run_twice(["train", "--session", tmp / "b", "--out", tmp / "m"]),
+            run_twice(["eval", "--train-session", small_bundle, "--test-session", tmp / "b",
+                       "--out", tmp / "e", "--swap"]),
+        ]
+        if change[0] == "manifest-type":
+            field = change[1][0]
+            for code, err in results:
+                assert code == 3 and f"{tmp / 'b' / 'manifest.json'}: " in err and field in err

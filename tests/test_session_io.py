@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -402,6 +403,18 @@ def _onset_line(line: str, onset: str) -> str:
     return line.replace('"onset_s":0.133,', f'"onset_s":{onset},')
 
 
+def _edit_first(lines: list, old: str, new: str) -> list:
+    """``lines`` with ``old`` replaced by ``new`` in the first line holding it."""
+    i = next(i for i, line in enumerate(lines) if old in line)
+    return lines[:i] + [lines[i].replace(old, new)] + lines[i + 1:]
+
+
+def _cells(lines: list, block: str) -> str:
+    """The cells text of the first line of ``block`` ("row" or "col")."""
+    line = next(line for line in lines if f'"block":"{block}"' in line)
+    return re.search(r'"cells":(\[[][0-9,]*\]),', line).group(1)
+
+
 # (id, edit of the lines of a canonical events.jsonl): each yields a file the
 # per-line reader accepts in another spelling, or rejects
 LINE_EDITS = [
@@ -441,12 +454,27 @@ LINE_EDITS = [
     ("form-feed", lambda lines: [lines[0].replace("}\n", "}\f\n")] + lines[1:]),
     ("integer-target", lambda lines: [lines[0].replace('"is_target":false', '"is_target":0')]
      + lines[1:]),
+    ("negative-slot", lambda lines: [lines[0].replace('"slot":0}', '"slot":-1}')] + lines[1:]),
+    ("int64-max-slot", lambda lines: [lines[0].replace('"slot":0}', f'"slot":{2**63 - 1}}}')]
+     + lines[1:]),
+    ("int64-max-plus-one-slot", lambda lines: [lines[0].replace('"slot":0}', f'"slot":{2**63}}}')]
+     + lines[1:]),
+    ("lowercase-exponent-onset", lambda lines: [lines[0], _onset_line(lines[1], "1.33e-1")]
+     + lines[2:]),
+    ("negative-zero-float-onset",
+     lambda lines: [lines[0].replace('"onset_s":0.0,', '"onset_s":-0.0,')] + lines[1:]),
+    ("flash-id-past-n", lambda lines: [lines[0].replace('"flash_id":6', '"flash_id":7')]
+     + lines[1:]),
+    ("pause-as-flash", lambda lines: _edit_first(lines, '"kind":"pause"', '"kind":"flash"')),
+    ("row-flash-with-column-cells",
+     lambda lines: _edit_first(lines, _cells(lines, "row"), _cells(lines, "col"))),
 ]
 
 
 class TestCanonicalReader:
-    """A file of the writer's canonical lines is read in one regex pass;
-    every other file gives what the per-line reader gives."""
+    """A file of the writer's canonical lines is checked by one line regex
+    and read by numpy at its colons; every file gives what the per-line
+    reader gives."""
 
     @pytest.fixture()
     def canonical(self, tmp_path, recording):
@@ -516,24 +544,104 @@ class TestCanonicalReader:
         with pytest.raises(BundleError, match="an integer field is out of range .*4300 digits"):
             session_io._read_events(path, pattern)
 
-    def test_no_json_loads_for_a_simulated_bundle(self, tmp_path, monkeypatch):
-        """Only the manifest goes through ``json.loads``: a writer whose lines
-        stopped matching the canonical form would send every read to the
-        per-line reader, one call per event."""
+    @pytest.mark.parametrize("bundle", ["xp300", "cp300", "12x12"])
+    def test_no_json_loads_for_a_simulated_bundle(self, tmp_path, monkeypatch, bundle):
+        """Only the manifest goes through ``json.loads``, and the array lane
+        reads the events: a writer whose lines stopped matching the canonical
+        form would send every read to the per-line reader, one call per
+        event, and a fault in the array lane would send the file to the
+        field texts.  A 12x12 grid's cells texts differ in length."""
         out = tmp_path / "b"
-        assert main(["simulate", "--out", str(out), "--seed", "5", "--reps", "3",
-                     "--targets", "ABCDEF"]) == 0
-        calls = []
+        if bundle == "12x12":
+            sched = make_xp300_schedule(make_constrained_pattern(12), reps=2, isi_s=0.133,
+                                        targets=[(1, 12), (12, 1), (7, 9)], seed=4)
+            n_samples = int(sched.events.onset_s.max() * 25) + 1
+            write_session(Recording(fs_hz=25.0, samples=np.zeros((n_samples, 8), np.float32),
+                                    events=sched.events), out)
+        else:
+            assert main(["simulate", "--out", str(out), "--seed", "5", "--reps", "3",
+                         "--targets", "ABCDEF", "--paradigm", bundle]) == 0
+        calls, taken = [], []
         loads = json.loads
         monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text))
+        lane = session_io._canonical_events
+        monkeypatch.setattr(session_io, "_canonical_events",
+                            lambda *args: taken.append(lane(*args)) or taken[-1])
         rec = read_session(out)
-        assert len(calls) == 1 and len(rec.events) == 252
+        assert len(calls) == 1
+        assert len(rec.events) == {"xp300": 252, "cp300": 216, "12x12": 156}[bundle]
+        assert len(taken) == 1 and taken[0] is rec.events
         lines = (out / "events.jsonl").read_text().splitlines(keepends=True)
         lines[7] = json.dumps(json.loads(lines[7])) + "\n"
         (out / "events.jsonl").write_text("".join(lines))
         calls.clear()
         assert read_session(out).events == rec.events
         assert len(calls) == 1 + len(lines)
+
+    @pytest.mark.parametrize("window", [1, 300, session_io._CHECK_BYTES])
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines,
+        lambda lines: lines[:-1] + [lines[-1].rstrip("\n")],
+        lambda lines: lines[:-1] + [lines[-1].replace('"slot":', '"slot": ')],
+        lambda lines: lines[:1] + [lines[1].replace('"slot":1}', '"slot":' + "9" * 400 + "}")]
+        + lines[2:],
+    ], ids=["canonical", "no-final-newline", "last-line-spaced", "line-longer-than-a-window"])
+    def test_check_window_does_not_change_the_outcome(self, canonical, monkeypatch, window, edit):
+        """The line regex runs over windows of whole lines; a line longer
+        than the window is a window of its own."""
+        path, pattern = canonical
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        expected = _outcome(session_io._read_events, path, pattern)
+        monkeypatch.setattr(session_io, "_CHECK_BYTES", window)
+        assert _outcome(session_io._read_events, path, pattern) == expected
+        assert expected == _outcome(_read_event_lines, path, pattern)
+
+    def test_reads_keep_no_state_per_pattern(self, tmp_path):
+        """Reading 20 bundles of distinct patterns leaves under 100 kB traced:
+        a line regex built from each pattern's key texts would stay in
+        ``re``'s cache, about 160 kB each."""
+        rng = np.random.default_rng(2)
+        paths = []
+        for i in range(21):
+            pattern = make_constrained_pattern(6 + i % 7, rng.permutation(6 + i % 7) + 1,
+                                               rng.permutation(6 + i % 7) + 1)
+            sched = make_xp300_schedule(pattern, reps=1, isi_s=0.133, targets=[(1, 2), (3, 3)],
+                                        seed=i)
+            rec = Recording(fs_hz=25.0, samples=np.zeros((200, 8), np.float32), events=sched.events)
+            write_session(rec, tmp_path / str(i))
+            paths.append(tmp_path / str(i))
+        assert len({json.dumps(read_manifest(path)["meta"]["pattern"]) for path in paths}) == 21
+        read_session(paths[0])  # compiles the line regex once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for path in paths[1:]:
+                read_session(path)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000
+
+    def test_peak_memory_of_a_read_is_a_few_file_sizes(self, tmp_path):
+        """Reading 28,000 events (a 4.7 MB file) peaks under four times the
+        file (2.9 measured: the file, a byte mask, and each field's start
+        and end); one ``(?:line)*`` match over the whole file adds about ten
+        times it in backtracking state."""
+        matrix = default_matrix(6)
+        targets = [matrix.locate(ch) for ch in "THEQUICKBROWNFOX1234" * 10]
+        sched = make_xp300_schedule(make_constrained_pattern(6), reps=10, isi_s=0.133,
+                                    targets=targets, seed=0)
+        path = tmp_path / "events.jsonl"
+        path.write_text(events_jsonl(sched.events))
+        tracemalloc.start()
+        try:
+            events = session_io._read_events(path, sched.events.pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 28000 and events == sched.events
+        assert peak < 4 * path.stat().st_size
 
 
 SCHEDULES = st.fixed_dictionaries({
