@@ -24,7 +24,7 @@ import numpy as np
 from . import dsp, metrics, patterns, pipeline, scheduler, session_io, synth
 from .blda import BldaModel
 from .decoder import decisions_csv
-from .errors import BundleError, PipelineError, ValidationError
+from .errors import BundleError, PipelineError, RateError, ValidationError
 from .pipeline import PipelineConfig
 from .scheduler import CP300, XP300
 from .session_io import atomic_write
@@ -97,6 +97,8 @@ def load_config(args) -> RunConfig:
             raise ValidationError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{args.config}: {_not_utf8(exc)}") from exc
+        except RecursionError as exc:
+            raise ValidationError(f"{args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
         _apply_section(cfg, raw, args.config)
@@ -244,7 +246,7 @@ def cmd_simulate(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     rec = session_io.read_session(args.session)
-    _bundle_schedule(args.session, rec)  # it fits on the is_target flags of meta's schedule
+    _bundle_schedule(args.session, rec, cfg.pipeline)  # the fit takes meta's is_target flags
     sf, clf = pipeline.train_models(pipeline.preprocess(rec, cfg.pipeline), cfg.pipeline)
     _note_clamp(cfg.pipeline, sf.n_f)
     out = Path(args.out)
@@ -258,9 +260,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _bundle_schedule(path, rec: dsp.Recording) -> scheduler.Schedule:
-    """The schedule in a bundle's ``meta``, which its recording's events must follow."""
-    return pipeline.schedule_from_bundle(session_io.read_manifest(path), rec.events)
+def _bundle_schedule(path, rec: dsp.Recording, band: PipelineConfig) -> scheduler.Schedule:
+    """The schedule in a bundle's ``meta``, which its recording's events must
+    follow; then a rate that cannot carry the band or output rate is a
+    ValidationError naming the bundle's fs_hz."""
+    schedule = pipeline.schedule_from_bundle(session_io.read_manifest(path), rec.events)
+    try:
+        dsp.design_bandpass(rec.fs_hz, band.low_hz, band.high_hz, band.filter_order)
+        dsp._decimation_factor(rec.fs_hz, band.fs_out_hz)
+    except RateError as exc:
+        raise ValidationError(f"{Path(path) / session_io.MANIFEST_NAME}: fs_hz {rec.fs_hz} does "
+                              f"not fit the pipeline config: {exc}") from exc
+    return schedule
 
 
 def _note_clamp(cfg: PipelineConfig, fitted_n_f: int) -> None:
@@ -278,8 +289,8 @@ def cmd_eval(args) -> int:
     cfg = load_config(args)
     paths = (args.train_session, args.test_session)
     recs = [session_io.read_session(path) for path in paths]
-    # each bundle's schedule, the test session's first, all checked before any filtering
-    test, train = [_bundle_schedule(paths[i], recs[i]) for i in (1, 0)]
+    # each bundle's schedule and rate, the test session's first, all checked before any filtering
+    test, train = [_bundle_schedule(paths[i], recs[i], cfg.pipeline) for i in (1, 0)]
     if args.swap and test.reps != train.reps:
         raise ValidationError(
             f"--swap averages accuracy per repetition count, but the test session has "

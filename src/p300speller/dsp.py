@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PipelineError, ValidationError
+from .errors import PipelineError, RateError, ValidationError
 from .scheduler import Events
 
 DEFAULT_CHANNELS = ("O1", "O2", "P3", "P4", "P7", "P8", "Pz", "FCz")
@@ -127,7 +127,7 @@ def design_bandpass(
     if order > MAX_FILTER_ORDER:
         raise ValidationError(f"filter_order must be at most {MAX_FILTER_ORDER}, got {order}")
     if high_hz >= fs_hz / 2:
-        raise ValidationError(
+        raise RateError(
             f"high band edge {high_hz} Hz is at or above Nyquist ({fs_hz / 2} Hz)"
         )
     fs2 = 2 * fs_hz
@@ -302,8 +302,9 @@ def _decimation_factor(fs_in: float, fs_out: float) -> int:
     if not fs_out > 0:
         raise ValidationError(f"output rate fs_out must be positive, got {fs_out}")
     factor = fs_in / fs_out  # inf for a tiny fs_out, which round() cannot take
+    error = RateError if factor < np.inf else ValidationError  # no rate fits a tiny fs_out
     if not 1 <= factor < np.inf or abs(factor - round(factor)) > 1e-9:
-        raise ValidationError(
+        raise error(
             f"sampling rate {fs_in} Hz is not an integer multiple of {fs_out} Hz"
         )
     return int(round(factor))

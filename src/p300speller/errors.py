@@ -9,6 +9,10 @@ class ValidationError(SpellerError, ValueError):
     """An argument, configuration value, or input structure is invalid."""
 
 
+class RateError(ValidationError):
+    """A sampling rate that cannot carry the configured band or output rate."""
+
+
 class PipelineError(SpellerError, RuntimeError):
     """A numeric or data failure occurred while processing a session."""
 

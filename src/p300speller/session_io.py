@@ -19,21 +19,21 @@ A bundle is a directory of three files:
   It is written a block of ``EVENT_LINES`` lines at a time
   (``write_events``), so the whole text is never held; a writer may
   stream it to ``events.jsonl.tmp`` alongside the signal.
-  The reader has three lanes and one rule set.  A file of canonical lines,
-  each ending in a newline (``\r\n`` and ``\r`` end a line too), passes one
-  group-free line regex, matched over windows of about 32 KiB of whole
-  lines; numpy then finds each line's nine colons, compares its block and
-  cells, flash_id and kind texts with the pattern's, byte for byte, reads
-  its integers from their digits, ``is_target`` from its first byte and its
-  onset by ``float`` of its slice.  A canonical file that breaks a rule, or
-  holds an integer text longer than 18 bytes, is cut into field texts at
-  those colons instead; any other file is read by ``json.loads`` of each
-  line, re-encoded canonically.  The field texts meet the same rules as the
-  array lane, which report first a line that is not JSON or lacks or
-  mistypes a field, then a key or cells not of the pattern, then an integer
-  past int64, then a non-finite onset.  The line regex is the same for
-  every pattern: ``re`` keeps each pattern it compiles (up to 512), and a
-  line regex built from a pattern's key texts held 160-200 kB per pattern.
+  The reader has two lanes and one rule set.  A file of canonical lines,
+  each ending in ``\n``, passes one group-free line regex, matched over
+  windows of about 32 KiB of whole lines; numpy then finds each line's
+  nine colons, compares its block and cells, flash_id and kind texts with
+  the pattern's, byte for byte, reads its integers from their digits,
+  ``is_target`` from its first byte and its onset by ``float`` of its
+  slice.  Any other file (``\r\n`` line ends included), and a canonical
+  one that breaks a rule or holds an integer text longer than 18 bytes,
+  is read by ``json.loads`` of each line, re-encoded canonically; those
+  field texts meet the same rules, which report first a line that is not
+  JSON (or nests too deep) or lacks or mistypes a field, then a key or
+  cells not of the pattern, then an integer past int64, then a non-finite
+  onset.  The line regex is the same for every pattern: ``re`` keeps each
+  pattern it compiles (up to 512), and a line regex built from a
+  pattern's key texts held 160-200 kB per pattern.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
 identical inputs, and a streamed bundle that fails part-way leaves no
@@ -88,10 +88,6 @@ _VARYING_FIELDS = tuple(name for name in _EVENT_FIELDS if name not in _KEY_FIELD
 # what a varying field's JSON value must be, as the error for a line names it
 _MUST_BE = {"char_index": "a JSON integer", "is_target": "true or false",
             "onset_s": "a JSON number", "repetition": "a JSON integer", "slot": "a JSON integer"}
-# compiled on first use (``re`` caches them), so importing the CLI stays cheap
-_EVENT_OBJECT = (
-    r"\{" + ",".join(f'"{name}":({regex})' for name, regex in _EVENT_FIELDS.items()) + r"\}"
-)
 # whole canonical lines, without groups, so that a match keeps no substrings
 _CANONICAL_LINES = (
     r"(?:\{" + ",".join(f'"{name}":(?:{regex})' for name, regex in _EVENT_FIELDS.items())
@@ -242,7 +238,7 @@ def read_manifest(path) -> dict:
         raise BundleError(f"no {MANIFEST_NAME} in {path}") from None
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: invalid JSON at line {exc.lineno}") from exc
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError) as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleError(f"{path / MANIFEST_NAME}: not a JSON object")
@@ -304,35 +300,26 @@ def read_session(path) -> Recording:
 
 def _read_events(path: Path, pattern: FlashPattern) -> Events:
     """Parse events.jsonl: a file of canonical lines by ``_canonical_events``;
-    else, or if that finds a fault, into each line's field texts (cut at the
-    colons of canonical lines, else by ``_json_rows``), then check those texts."""
+    any other file, or one in which that finds a fault, into each line's
+    field texts by ``_json_rows``, whose texts are then checked."""
     _regular_file_size(path)
-    raw = path.read_bytes()
-    # \r\n and \r end a line too, as a text-mode read and ``_json_rows`` take them
-    data = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+    data = path.read_bytes()
     if _canonical(data):
-        starts, ends = _value_spans(data)
-        events = _canonical_events(data, starts, ends, pattern)
+        events = _canonical_events(data, *_value_spans(data), pattern)
         if events is not None:
             return events
+    try:
         text = data.decode()
-        columns = {name: list(map(text.__getitem__, map(slice, start.tolist(), end.tolist())))
-                   for name, start, end in zip(_EVENT_FIELDS, starts.T, ends.T)}
-        linenos = range(1, len(starts) + 1)
-    else:
-        try:
-            text = raw.decode()
-        except UnicodeDecodeError as exc:
-            raise BundleError(f"{path}: {exc}") from exc
-        rows, linenos = _json_rows(path, text)
-        columns = dict(zip(_EVENT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_EVENT_FIELDS, ())
-    texts = _key_texts(pattern)
-    known = {tuple(map(key_texts.get, _KEY_FIELDS)) for key_texts in texts.values()}
-    if not set(zip(*map(columns.get, _KEY_FIELDS))) <= known:  # once per distinct key
-        raise _key_fault(path, text, known)
-    # every line holds a key of the pattern, so its block and flash_id texts name it
-    blocks = {key_texts["block"]: block for (block, _), key_texts in texts.items()}
-    flash_ids = {key_texts["flash_id"]: flash_id for (_, flash_id), key_texts in texts.items()}
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"{path}: {exc}") from exc
+    rows, linenos = _json_rows(path, text)
+    columns = dict(zip(_EVENT_FIELDS, zip(*rows))) if rows else dict.fromkeys(_EVENT_FIELDS, ())
+    # the (block, flash_id) columns of each key of the pattern, by its key fields' texts
+    known = {tuple(map(texts.get, _KEY_FIELDS)): key for key, texts in _key_texts(pattern).items()}
+    keys = list(zip(*map(columns.get, _KEY_FIELDS)))
+    if not known.keys() >= set(keys):  # once per distinct key
+        raise _key_fault(path, keys, linenos, known)
+    block, flash_id = np.array([known[key] for key in keys], np.int64).reshape(-1, 2).T
     onset_s = list(map(float, columns["onset_s"]))
     try:
         events = Events(
@@ -341,11 +328,11 @@ def _read_events(path: Path, pattern: FlashPattern) -> Events:
             slot=list(map(int, columns["slot"])),
             char_index=list(map(int, columns["char_index"])),
             repetition=list(map(int, columns["repetition"])),
-            block=list(map(blocks.get, columns["block"])),
-            flash_id=list(map(flash_ids.get, columns["flash_id"])),
+            block=block,
+            flash_id=flash_id,
             is_target=list(map("true".__eq__, columns["is_target"])),
         )
-    except (OverflowError, ValueError) as exc:  # past int64, or past int()'s digit limit
+    except OverflowError as exc:  # past int64
         raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
     infinite = np.flatnonzero(~np.isfinite(events.onset_s))
     if infinite.size:
@@ -460,7 +447,8 @@ def _integers(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
 def _json_rows(path: Path, text: str) -> tuple[list, list]:
     """The canonical field texts, re-encoded from ``json.loads``, and the line
     number of each non-blank line; a line that is not an object of the nine
-    fields, or whose varying field's text fails its regex, is a BundleError."""
+    fields, nests too deep to decode, or whose varying field's text fails its
+    regex, is a BundleError."""
     rows, linenos = [], []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
@@ -468,28 +456,20 @@ def _json_rows(path: Path, text: str) -> tuple[list, list]:
         try:
             obj = json.loads(line)
             values = {name: obj[name] for name in _EVENT_FIELDS}
-            match = re.fullmatch(_EVENT_OBJECT, _EVENT_ENCODER.encode(values), re.ASCII)
-            if match:
-                row = match.groups()
-            else:  # field by field, so a varying field that fails its regex is named
-                row = tuple(map(_EVENT_ENCODER.encode, values.values()))
-                for name, field in zip(_EVENT_FIELDS, row):
-                    if name in _MUST_BE and not re.fullmatch(_EVENT_FIELDS[name], field):
-                        raise ValueError(f"{name} must be {_MUST_BE[name]}, got {values[name]!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+            row = tuple(map(_EVENT_ENCODER.encode, values.values()))
+            for name, field in zip(_EVENT_FIELDS, row):
+                if name in _MUST_BE and not re.fullmatch(_EVENT_FIELDS[name], field):
+                    raise ValueError(f"{name} must be {_MUST_BE[name]}, got {values[name]!r}")
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise BundleError(f"{path} line {lineno}: {exc}") from exc
         rows.append(row)
         linenos.append(lineno)
     return rows, linenos
 
 
-def _key_fault(path: Path, text: str, known: set) -> BundleError:
-    """The error for the first line whose (kind, block, flash_id, cells) texts
-    are no key of the pattern, taken from ``_json_rows``: its texts decode, and
-    a line that is not JSON (the regexes admit a few) is the error instead."""
-    rows, linenos = _json_rows(path, text)
-    columns = dict(zip(_EVENT_FIELDS, zip(*rows)))
-    keys = zip(*map(columns.get, _KEY_FIELDS))
+def _key_fault(path: Path, keys: list, linenos: list, known: dict) -> BundleError:
+    """The error for the first line whose (kind, block, flash_id, cells) texts,
+    taken from ``_json_rows``, are no key of the pattern."""
     i, key = next((i, key) for i, key in enumerate(keys) if key not in known)
     kind, block, flash_id, cells = map(json.loads, key)
     lit = {known_key[:3]: known_key[3] for known_key in known}.get(key[:3])

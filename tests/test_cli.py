@@ -356,9 +356,12 @@ class TestTrain:
         [({"fs_out_hz": 0}, "fs_out"), ({"filter_order": 0}, "order"), ({"n_f": -1}, "n_f"),
          ({"n_f": 0}, "n_f"), ({"window_s": 0}, "ERP window"), ({"window_s": -1}, "ERP window"),
          ({"window_s": 5}, "ERP window"), ({"blda_max_iter": 0}, "max_iter"),
-         ({"blda_tol": -1}, "tol"), ({"fs_out_hz": 1e-320}, "not an integer multiple")],
+         ({"blda_tol": -1}, "tol"), ({"fs_out_hz": 1e-320}, "not an integer multiple"),
+         ({"low_hz": 20.0}, "need 0 < low_hz < high_hz")],
     )
     def test_out_of_range_pipeline_exits_2(self, session_pair, tmp_path, capsys, pipeline, message):
+        """A fault of the config alone names no bundle, unlike a bundle rate
+        the config does not fit."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pipeline": pipeline}))
         code, _, err = run(
@@ -367,7 +370,7 @@ class TestTrain:
             capsys,
         )
         assert code == 2
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and "manifest.json" not in err
         assert not (tmp_path / "m").exists()
 
     def test_missing_session_exits_3(self, tmp_path, capsys):
@@ -921,6 +924,26 @@ class TestCorruptBundles:
         assert run(eval_argv(a, tmp_path / "b", tmp_path / "no_n"), capsys)[0] == 0
         for name in ("metrics.csv", "summary.txt", "decisions.csv", "decisions_swap.csv"):
             assert (tmp_path / "intact" / name).read_bytes() == (tmp_path / "no_n" / name).read_bytes()
+
+    @pytest.mark.parametrize("fs_hz, reason", [
+        (20, "high band edge 12.5 Hz is at or above Nyquist (10.0 Hz)"),
+        (30, "sampling rate 30.0 Hz is not an integer multiple of 25.0 Hz"),
+    ], ids=["below-the-band", "not-decimable"])
+    @pytest.mark.parametrize("command", ["train", "eval-test", "eval-train"])
+    def test_rate_the_band_does_not_fit_exits_2(self, session_pair, tmp_path, capsys, fs_hz,
+                                                 reason, command):
+        """A bundle rate the default band or output rate cannot take names
+        the bundle's manifest and fs_hz, in train and for either session of
+        eval, before any filtering."""
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        _set(None, "fs_hz", fs_hz)(tmp_path / "b")
+        argv = {"train": ["train", "--session", str(tmp_path / "b"), "--out", str(tmp_path / "o")],
+                "eval-test": eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "o"),
+                "eval-train": eval_argv(tmp_path / "b", session_pair / "a", tmp_path / "o")}
+        code, _, err = run(argv[command], capsys)
+        assert (code, err) == (2, f"error: {tmp_path / 'b' / 'manifest.json'}: fs_hz "
+                                  f"{float(fs_hz)} does not fit the pipeline config: {reason}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestNonFiniteSignal:

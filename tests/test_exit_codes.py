@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -214,3 +215,45 @@ def test_any_bundle(small_bundle, change):
             field = change[1][0]
             for code, err in results:
                 assert code == 3 and f"{tmp / 'b' / 'manifest.json'}: " in err and field in err
+
+
+DEEP = "[" * 10_000 + "]" * 10_000  # past the depth json.loads decodes
+
+
+@pytest.mark.parametrize("spelling", ["canonical", "spaced"])
+def test_deeply_nested_event_line_exits_3(small_bundle, tmp_path, spelling):
+    """Nested arrays deeper than ``json.loads`` decodes, as the third line's
+    cells, name that line; the canonical spelling passes the line regex."""
+    shutil.copytree(small_bundle, tmp_path / "b")
+    path = tmp_path / "b" / "events.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = re.sub(r'"cells":\[[][0-9,]*\]', lambda _: '"cells":' + DEEP, lines[2])
+    if spelling == "spaced":
+        lines[2] = lines[2].replace(",", ", ")
+    path.write_text("".join(lines))
+    for argv in (["train", "--session", tmp_path / "b", "--out", tmp_path / "m"],
+                 ["eval", "--train-session", small_bundle, "--test-session", tmp_path / "b",
+                  "--out", tmp_path / "e", "--swap"]):
+        code, err = run_twice(argv)
+        assert code == 3 and err.startswith(f"i/o error: {path} line 3: maximum recursion depth")
+
+
+@pytest.mark.parametrize("key", ["fs_hz", "meta"])
+def test_deeply_nested_manifest_exits_3(small_bundle, tmp_path, key):
+    shutil.copytree(small_bundle, tmp_path / "b")
+    path = tmp_path / "b" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = None
+    path.write_text(json.dumps(manifest).replace(f'"{key}": null', f'"{key}": {DEEP}'))
+    code, err = run_twice(["train", "--session", tmp_path / "b", "--out", tmp_path / "m"])
+    assert code == 3 and err.startswith(f"i/o error: {path}: maximum recursion depth")
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_deeply_nested_config_exits_2(small_bundle, tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": ' + DEEP + "}")
+    argv = {"simulate": ["simulate", "--out", tmp_path / "s", "--seed", 1],
+            "train": ["train", "--session", small_bundle, "--out", tmp_path / "m"]}[command]
+    code, err = run_twice(argv + ["--config", cfg])
+    assert code == 2 and err.startswith(f"error: {cfg}: maximum recursion depth")
