@@ -21,10 +21,10 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import dsp, metrics, patterns, pipeline, scheduler, session_io, synth
+from . import metrics, patterns, pipeline, scheduler, session_io, synth
 from .blda import BldaModel
 from .decoder import decisions_csv
-from .errors import BundleError, PipelineError, RateError, ValidationError
+from .errors import BundleError, PipelineError, ValidationError
 from .pipeline import PipelineConfig
 from .scheduler import CP300, XP300
 from .session_io import atomic_write
@@ -81,9 +81,8 @@ class RunConfig:
         """Checks no builder makes; the pattern and schedule builders own the rest."""
         if self.paradigm not in (CP300, XP300):
             raise ValidationError(f"paradigm must be {CP300!r} or {XP300!r}")
-        band = self.pipeline  # simulate writes no bundle train rejects for its band or rate
-        dsp.design_bandpass(self.synth.fs_hz, band.low_hz, band.high_hz, band.filter_order)
-        dsp._decimation_factor(self.synth.fs_hz, band.fs_out_hz)
+        # simulate writes no bundle train rejects for its band or rate
+        pipeline.design_filter(self.synth.fs_hz, self.pipeline)
 
 
 def load_config(args) -> RunConfig:
@@ -245,8 +244,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args)
-    rec = session_io.read_session(args.session)
-    _bundle_schedule(args.session, rec, cfg.pipeline)  # the fit takes meta's is_target flags
+    rec, _ = pipeline.open_bundle(args.session, cfg.pipeline)  # the fit takes the checked flags
     sf, clf = pipeline.train_models(pipeline.preprocess(rec, cfg.pipeline), cfg.pipeline)
     _note_clamp(cfg.pipeline, sf.n_f)
     out = Path(args.out)
@@ -258,20 +256,6 @@ def cmd_train(args) -> int:
         f"{out}/blda.json (converged={clf.converged}, {clf.iterations} iterations)"
     )
     return EXIT_OK
-
-
-def _bundle_schedule(path, rec: dsp.Recording, band: PipelineConfig) -> scheduler.Schedule:
-    """The schedule in a bundle's ``meta``, which its recording's events must
-    follow; then a rate that cannot carry the band or output rate is a
-    ValidationError naming the bundle's fs_hz."""
-    schedule = pipeline.schedule_from_bundle(session_io.read_manifest(path), rec.events)
-    try:
-        dsp.design_bandpass(rec.fs_hz, band.low_hz, band.high_hz, band.filter_order)
-        dsp._decimation_factor(rec.fs_hz, band.fs_out_hz)
-    except RateError as exc:
-        raise ValidationError(f"{Path(path) / session_io.MANIFEST_NAME}: fs_hz {rec.fs_hz} does "
-                              f"not fit the pipeline config: {exc}") from exc
-    return schedule
 
 
 def _note_clamp(cfg: PipelineConfig, fitted_n_f: int) -> None:
@@ -287,18 +271,18 @@ def _model_bytes(model: SpatialFilterModel | BldaModel) -> bytes:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
-    paths = (args.train_session, args.test_session)
-    recs = [session_io.read_session(path) for path in paths]
-    # each bundle's schedule and rate, the test session's first, all checked before any filtering
-    test, train = [_bundle_schedule(paths[i], recs[i], cfg.pipeline) for i in (1, 0)]
+    # each bundle read and checked, the test session's first, before any filtering
+    opened = [pipeline.open_bundle(path, cfg.pipeline)
+              for path in (args.test_session, args.train_session)]
+    test, train = [schedule for _, schedule in opened]
     if args.swap and test.reps != train.reps:
         raise ValidationError(
             f"--swap averages accuracy per repetition count, but the test session has "
             f"{test.reps} repetitions and the train session {train.reps}"
         )
-    # one raw signal at a time: each recording, and its mapping, is gone before
-    # the next one is filtered
-    lows = [pipeline.preprocess(recs.pop(0), cfg.pipeline) for _ in paths]
+    # one raw signal at a time, the train session's first: each recording, and
+    # its mapping, is gone before the next one is filtered
+    lows = [pipeline.preprocess(opened.pop()[0], cfg.pipeline) for _ in range(2)]
     # (index of the session to fit on, index of the session to score, its schedule)
     directions = [(0, 1, test), (1, 0, train)] if args.swap else [(0, 1, test)]
     runs = []

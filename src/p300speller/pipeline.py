@@ -2,17 +2,20 @@
 filter -> epochs -> classifier -> character decoding -> metrics.
 
 Everything here is deterministic given its inputs; the functions exist so
-the CLI and the test suite drive the exact same code.  A bundle's schedule
-is checked by ``Schedule`` itself; ``schedule_from_bundle`` adds only that
-the events hold each of its flashes once.
+the CLI and the test suite drive the exact same code.  ``open_bundle``
+reads a bundle and checks it before any filtering: a bundle's schedule is
+checked by ``Schedule`` itself, ``schedule_from_bundle`` adds only that
+the events hold each of its flashes once, and ``design_filter`` is the one
+rule for a rate the chain takes.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from . import blda, decoder, dsp, metrics, xdawn
-from .errors import BundleError, ValidationError
+from . import blda, decoder, dsp, metrics, session_io, xdawn
+from .errors import BundleError, RateError, ValidationError
 from .patterns import SpellerMatrix
 from .scheduler import BLOCKS, Events, Schedule
 
@@ -46,12 +49,36 @@ class EvalResult:
     decisions: decoder.Decisions
 
 
+def design_filter(fs_hz: float, cfg: PipelineConfig) -> dsp.FilterSpec:
+    """The band of ``cfg`` designed at ``fs_hz``, a rate that must also be an
+    integer multiple of ``cfg.fs_out_hz``: a rate that cannot carry either is
+    a RateError.  ``RunConfig.validate`` applies it to the synthesis rate,
+    ``open_bundle`` to a bundle's and ``preprocess`` to a recording's."""
+    spec = dsp.design_bandpass(fs_hz, cfg.low_hz, cfg.high_hz, cfg.filter_order)
+    dsp._decimation_factor(fs_hz, cfg.fs_out_hz)
+    return spec
+
+
+def open_bundle(path, cfg: PipelineConfig) -> tuple[dsp.Recording, Schedule]:
+    """A bundle's recording and the schedule in its ``meta``, which its events
+    must follow, from one parse of its manifest; then a rate that does not
+    fit ``design_filter`` is a ValidationError naming the bundle's fs_hz."""
+    manifest = session_io.read_manifest(path)
+    rec = session_io.read_session(path, manifest)
+    schedule = schedule_from_bundle(manifest, rec.events)
+    try:
+        design_filter(rec.fs_hz, cfg)
+    except RateError as exc:
+        raise ValidationError(f"{Path(path) / session_io.MANIFEST_NAME}: fs_hz {rec.fs_hz} does "
+                              f"not fit the pipeline config: {exc}") from exc
+    return rec, schedule
+
+
 def preprocess(rec: dsp.Recording, cfg: PipelineConfig) -> dsp.Recording:
     """Bandpass then decimate: the only step that reads the raw signal, run
     once per recording.  A non-finite input sample anywhere is a
     PipelineError naming its channel (see ``dsp.filter_recording``)."""
-    spec = dsp.design_bandpass(rec.fs_hz, cfg.low_hz, cfg.high_hz, cfg.filter_order)
-    return dsp.filter_recording(spec, rec, cfg.fs_out_hz)
+    return dsp.filter_recording(design_filter(rec.fs_hz, cfg), rec, cfg.fs_out_hz)
 
 
 def _require_low_rate(low: dsp.Recording, cfg: PipelineConfig) -> None:

@@ -27,13 +27,13 @@ A bundle is a directory of three files:
   ``is_target`` from its first byte and its onset by ``float`` of its
   slice.  Any other file (``\r\n`` line ends included), and a canonical
   one that breaks a rule or holds an integer text longer than 18 bytes,
-  is read by ``json.loads`` of each line, re-encoded canonically; those
-  field texts meet the same rules, which report first a line that is not
-  JSON (or nests too deep) or lacks or mistypes a field, then a key or
-  cells not of the pattern, then an integer past int64, then a non-finite
-  onset.  The line regex is the same for every pattern: ``re`` keeps each
-  pattern it compiles (up to 512), and a line regex built from a
-  pattern's key texts held 160-200 kB per pattern.
+  is read by ``json.loads`` of each line, its key fields re-encoded
+  canonically; those values meet the same rules, which report first a
+  line that is not JSON (or nests too deep) or lacks or mistypes a field,
+  then a key or cells not of the pattern, then an integer past int64,
+  then a non-finite onset.  The line regex is the same for every
+  pattern: ``re`` keeps each pattern it compiles (up to 512), and a line
+  regex built from a pattern's key texts held 160-200 kB per pattern.
 
 Writes are atomic (temp file + rename) and byte-deterministic for
 identical inputs, and a streamed bundle that fails part-way leaves no
@@ -85,9 +85,11 @@ _EVENT_FIELDS = {
 }
 _KEY_FIELDS = ("kind", "block", "flash_id", "cells")
 _VARYING_FIELDS = tuple(name for name in _EVENT_FIELDS if name not in _KEY_FIELDS)
-# what a varying field's JSON value must be, as the error for a line names it
+# what a varying field's JSON value must be, as the error for a line names it,
+# and the types json.loads gives such a value (a bool is no JSON integer)
 _MUST_BE = {"char_index": "a JSON integer", "is_target": "true or false",
             "onset_s": "a JSON number", "repetition": "a JSON integer", "slot": "a JSON integer"}
+_JSON_TYPES = {"a JSON integer": (int,), "true or false": (bool,), "a JSON number": (int, float)}
 # whole canonical lines, without groups, so that a match keeps no substrings
 _CANONICAL_LINES = (
     r"(?:\{" + ",".join(f'"{name}":(?:{regex})' for name, regex in _EVENT_FIELDS.items())
@@ -249,10 +251,10 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def read_session(path) -> Recording:
-    """Inverse of write_session."""
+def read_session(path, manifest: dict | None = None) -> Recording:
+    """Inverse of write_session; ``manifest``: its ``read_manifest``, if read."""
     path = Path(path)
-    manifest = read_manifest(path)
+    manifest = read_manifest(path) if manifest is None else manifest
     try:
         n_samples, n_channels, fs_hz, channel_names = (
             manifest[name] for name in ("n_samples", "n_channels", "fs_hz", "channel_names"))
@@ -301,7 +303,7 @@ def read_session(path) -> Recording:
 def _read_events(path: Path, pattern: FlashPattern) -> Events:
     """Parse events.jsonl: a file of canonical lines by ``_canonical_events``;
     any other file, or one in which that finds a fault, into each line's
-    field texts by ``_json_rows``, whose texts are then checked."""
+    fields by ``_json_rows``, which are then checked."""
     _regular_file_size(path)
     data = path.read_bytes()
     if _canonical(data):
@@ -320,24 +322,18 @@ def _read_events(path: Path, pattern: FlashPattern) -> Events:
     if not known.keys() >= set(keys):  # once per distinct key
         raise _key_fault(path, keys, linenos, known)
     block, flash_id = np.array([known[key] for key in keys], np.int64).reshape(-1, 2).T
-    onset_s = list(map(float, columns["onset_s"]))
+    varying = {name: columns[name] for name in _VARYING_FIELDS}
+    # by its text: float() of an integer past float's range is inf, not OverflowError
+    varying["onset_s"] = [float(str(value)) for value in varying["onset_s"]]
     try:
-        events = Events(
-            pattern,
-            onset_s=onset_s,
-            slot=list(map(int, columns["slot"])),
-            char_index=list(map(int, columns["char_index"])),
-            repetition=list(map(int, columns["repetition"])),
-            block=block,
-            flash_id=flash_id,
-            is_target=list(map("true".__eq__, columns["is_target"])),
-        )
+        events = Events(pattern, block=block, flash_id=flash_id, **varying)
     except OverflowError as exc:  # past int64
         raise BundleError(f"{path}: an integer field is out of range ({exc})") from exc
     infinite = np.flatnonzero(~np.isfinite(events.onset_s))
     if infinite.size:
         i = infinite[0]
-        raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, got {onset_s[i]!r}")
+        raise BundleError(f"{path} line {linenos[i]}: onset_s must be finite, "
+                          f"got {varying['onset_s'][i]!r}")
     return events
 
 
@@ -445,10 +441,11 @@ def _integers(codes: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nda
 
 
 def _json_rows(path: Path, text: str) -> tuple[list, list]:
-    """The canonical field texts, re-encoded from ``json.loads``, and the line
-    number of each non-blank line; a line that is not an object of the nine
-    fields, nests too deep to decode, or whose varying field's text fails its
-    regex, is a BundleError."""
+    """Each non-blank line's fields from ``json.loads``, in ``_EVENT_FIELDS``
+    order, the key fields re-encoded as their canonical texts, and its line
+    number; a line that is not an object of the nine fields, nests too deep
+    to decode, or whose varying field's value is not of its JSON type, is a
+    BundleError."""
     rows, linenos = [], []
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         if not line.strip():
@@ -456,13 +453,13 @@ def _json_rows(path: Path, text: str) -> tuple[list, list]:
         try:
             obj = json.loads(line)
             values = {name: obj[name] for name in _EVENT_FIELDS}
-            row = tuple(map(_EVENT_ENCODER.encode, values.values()))
-            for name, field in zip(_EVENT_FIELDS, row):
-                if name in _MUST_BE and not re.fullmatch(_EVENT_FIELDS[name], field):
-                    raise ValueError(f"{name} must be {_MUST_BE[name]}, got {values[name]!r}")
+            values.update((name, _EVENT_ENCODER.encode(values[name])) for name in _KEY_FIELDS)
+            for name, must_be in _MUST_BE.items():
+                if type(values[name]) not in _JSON_TYPES[must_be]:
+                    raise ValueError(f"{name} must be {must_be}, got {values[name]!r}")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise BundleError(f"{path} line {lineno}: {exc}") from exc
-        rows.append(row)
+        rows.append(tuple(values.values()))
         linenos.append(lineno)
     return rows, linenos
 

@@ -54,6 +54,11 @@ _ROWS = 16384
 # blocks ahead of the block being rendered: two let it draw block k + 1 while
 # block k is filtered (a third held another block and saved no measurable time)
 _RING = 2
+# the most samples x channels a session renders: 2**31 float32 values, an
+# 8 GiB signal.f32, 360 times the 5.97 million of the default protocol (as
+# scheduler.MAX_EVENTS is 375 times its events); the signal and its file grow
+# with fs_hz, which nothing else bounds
+MAX_SIGNAL_VALUES = 2**31
 
 
 @dataclass
@@ -187,18 +192,20 @@ def synthesize_session(
         templates = default_templates()
     if noise is None:
         noise = NoiseModel()
-    channels = DEFAULT_CHANNELS
+    channels, n_ch = DEFAULT_CHANNELS, len(DEFAULT_CHANNELS)
     for tpl in templates + (visual_templates or []):
-        if np.asarray(tpl.topography).shape != (len(channels),):
-            raise ValidationError(
-                f"template {tpl.name!r} topography must have {len(channels)} entries"
-            )
+        if np.asarray(tpl.topography).shape != (n_ch,):
+            raise ValidationError(f"template {tpl.name!r} topography must have {n_ch} entries")
+    seconds = float(schedule.events.onset_s.max()) + tail_s
+    if seconds * fs_hz * n_ch > MAX_SIGNAL_VALUES:  # before the kernels, the ring or the file
+        raise ValidationError(f"fs_hz {fs_hz} Hz and a {seconds:.1f} s session make "
+                              f"{seconds * fs_hz:.4g} samples x {n_ch} channels, more than the "
+                              f"{MAX_SIGNAL_VALUES} values allowed")
 
     rng = np.random.default_rng(seed)
     later = rng.spawn(1)[0]  # the phases and jitters, so that the noise is rng's whole stream
     flashes = schedule.events[schedule.events.is_flash]
-    n_samples = int(round((schedule.events.onset_s.max() + tail_s) * fs_hz))
-    n_ch = len(channels)
+    n_samples = int(round(seconds * fs_hz))
     phases = later.uniform(0.0, 2 * np.pi, n_ch) if noise.alpha_amp_uv > 0 else None
     # one jitter draw per flash regardless of settings keeps the RNG
     # stream independent of the blink/template configuration

@@ -164,3 +164,27 @@ class TestSerialization:
         assert (again.alpha, again.beta, again.iterations, again.converged) == (
             m.alpha, m.beta, m.iterations, m.converged,
         )
+
+
+class TestBoundaries:
+    def test_one_iteration_allowed(self):
+        x, labels = oddball_problem(1)
+        m = fit_blda(x, labels, max_iter=1)
+        assert (m.iterations, m.converged) == (1, False)
+
+    def test_zero_tolerance_allowed(self):
+        x, labels = oddball_problem(1)
+        m = fit_blda(x, labels, tol=0.0, max_iter=5)
+        assert (m.iterations, m.converged) == (5, False)
+
+    @pytest.mark.parametrize("problem", [oddball_problem(1), toy_separable()],
+                             ids=["alpha-changes-more", "beta-changes-more"])
+    def test_a_change_equal_to_the_tolerance_stops(self, problem):
+        """The stopping test is ``<=`` for each hyperparameter: a first update
+        (from alpha = beta = 1) whose larger relative change is exactly
+        ``tol`` converges at once."""
+        x, labels = problem
+        first = fit_blda(x, labels, max_iter=1)
+        tol = max(abs(first.alpha - 1.0), abs(first.beta - 1.0))
+        m = fit_blda(x, labels, tol=tol)
+        assert (m.converged, m.iterations, m.alpha, m.beta) == (True, 1, first.alpha, first.beta)

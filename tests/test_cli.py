@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from p300speller import patterns, pipeline, scheduler
+from p300speller import patterns, pipeline, scheduler, session_io, synth
 from p300speller.cli import main
 from p300speller.metrics import itr_bpm
 from p300speller.patterns import FlashPattern, make_constrained_pattern
@@ -175,6 +175,27 @@ class TestSimulate:
         assert peak < 1e6
         assert not (tmp_path / ("s" if command == "simulate" else "m")).exists()
 
+    def test_signal_above_the_ceiling_exits_2_before_allocating(self, tmp_path, capsys):
+        """At 20 MHz the default protocol once built response kernels until it
+        ended in a MemoryError (exit 1), on its way to a 240 GB signal.f32."""
+        import tracemalloc
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"synth": {"fs_hz": 2e7}}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(["simulate", "--out", str(tmp_path / "s"), "--seed", "1",
+                                  "--config", str(cfg)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: fs_hz 20000000.0 Hz and a 373.3 s session make 7.465e+09 "
+                       f"samples x 8 channels, more than the {synth.MAX_SIGNAL_VALUES} values "
+                       "allowed\n")
+        assert peak < 1e6
+        assert not (tmp_path / "s").exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "s")])
@@ -316,6 +337,15 @@ class TestSimulate:
         meta = read_manifest(tmp_path / "s")["meta"]
         assert meta["reps"] == 2
         assert meta["config"]["synth"]["background_sigma_uv"] == 0.5
+
+
+@pytest.fixture()
+def no_filtering(monkeypatch):
+    """Fail the test if pipeline.preprocess is reached: every check of the
+    bundles must come before any filtering."""
+    def preprocess(rec, cfg):
+        raise AssertionError("a bundle was filtered before every check was made")
+    monkeypatch.setattr(pipeline, "preprocess", preprocess)
 
 
 @pytest.fixture(scope="module")
@@ -464,6 +494,39 @@ class TestNoScipy:
         assert (tmp_path / "e" / "decisions_swap.csv").exists()
 
 
+class TestBlasThreads:
+    def test_same_bytes_on_one_and_two_blas_threads(self, session_pair, tmp_path):
+        """train and eval --swap write the same bytes whether OpenBLAS runs one
+        thread or two: no output may depend on how a BLAS call splits its sums."""
+        code = """if True:
+            import sys
+            from p300speller.cli import main
+            a, b, out = sys.argv[1:]
+            assert main(["train", "--session", a, "--out", out + "/m"]) == 0
+            assert main(["eval", "--train-session", a, "--test-session", b,
+                         "--out", out + "/e", "--swap"]) == 0
+            """
+        src = str(Path(pipeline.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        children = [
+            subprocess.Popen([sys.executable, "-c", code, str(session_pair / "a"),
+                              str(session_pair / "b"), str(tmp_path / threads)],
+                             env={**env, "OPENBLAS_NUM_THREADS": threads},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for threads in ("1", "2")
+        ]
+        printed = [child.communicate(timeout=300) for child in children]
+        assert [child.returncode for child in children] == [0, 0], printed
+        texts = [(out + err).replace(str(tmp_path / threads), "OUT")
+                 for (out, err), threads in zip(printed, ("1", "2"))]
+        assert texts[0] == texts[1]
+        outputs = [{f.relative_to(tmp_path / threads): f.read_bytes()
+                    for f in sorted((tmp_path / threads).rglob("*")) if f.is_file()}
+                   for threads in ("1", "2")]
+        assert len(outputs[0]) == 8 and outputs[0] == outputs[1]
+
+
 class TestEval:
     def test_outputs(self, session_pair, tmp_path, capsys):
         out_dir = tmp_path / "eval"
@@ -493,7 +556,7 @@ class TestEval:
         # accuracy 1.0 at k=3, xp300: B(1) * 60 / (3 * 14 * 0.133)
         assert float(itr) == pytest.approx(5.169925 * 60 / (3 * 14 * 0.133), abs=1e-3)
 
-    def test_swap_with_unequal_reps_exits_2(self, session_pair, tmp_path, capsys):
+    def test_swap_with_unequal_reps_exits_2(self, session_pair, tmp_path, capsys, no_filtering):
         argv = ["simulate", "--out", str(tmp_path / "five"), "--seed", "3", "--reps", "5"]
         assert main(argv + ["--targets", "ABCDEF"]) == 0
         code, _, err = run(eval_argv(session_pair / "a", tmp_path / "five", tmp_path / "e"), capsys)
@@ -783,7 +846,7 @@ class TestCorruptBundles:
              "repeated-flash", "true-flash_id", "float-flash_id", "text-slot",
              "false-char_index", "float-repetition", "text-onset_s"],
     )
-    def test_exits_3(self, session_pair, tmp_path, capsys, change, command):
+    def test_exits_3(self, session_pair, tmp_path, capsys, no_filtering, change, command):
         shutil.copytree(session_pair / "b", tmp_path / "b")
         change(tmp_path / "b")
         if command == "train":
@@ -930,8 +993,8 @@ class TestCorruptBundles:
         (30, "sampling rate 30.0 Hz is not an integer multiple of 25.0 Hz"),
     ], ids=["below-the-band", "not-decimable"])
     @pytest.mark.parametrize("command", ["train", "eval-test", "eval-train"])
-    def test_rate_the_band_does_not_fit_exits_2(self, session_pair, tmp_path, capsys, fs_hz,
-                                                 reason, command):
+    def test_rate_the_band_does_not_fit_exits_2(self, session_pair, tmp_path, capsys, no_filtering,
+                                                 fs_hz, reason, command):
         """A bundle rate the default band or output rate cannot take names
         the bundle's manifest and fs_hz, in train and for either session of
         eval, before any filtering."""
@@ -944,6 +1007,43 @@ class TestCorruptBundles:
         assert (code, err) == (2, f"error: {tmp_path / 'b' / 'manifest.json'}: fs_hz "
                                   f"{float(fs_hz)} does not fit the pipeline config: {reason}\n")
         assert not (tmp_path / "o").exists()
+
+
+class TestOpenBundle:
+    def test_one_manifest_parse_per_bundle(self, session_pair, tmp_path, capsys, monkeypatch):
+        """train and eval parse each bundle's manifest.json once, the test
+        session's first; read_session and the schedule check once parsed it
+        twice."""
+        calls = []
+        read_manifest = session_io.read_manifest
+
+        def counting_read_manifest(path):
+            calls.append(Path(path).name)
+            return read_manifest(path)
+
+        monkeypatch.setattr(session_io, "read_manifest", counting_read_manifest)
+        a, b = session_pair / "a", session_pair / "b"
+        for argv, expected in [
+            (["train", "--session", str(a), "--out", str(tmp_path / "m")], ["a"]),
+            (eval_argv(a, b, tmp_path / "one", swap=False), ["b", "a"]),
+            (eval_argv(a, b, tmp_path / "both"), ["b", "a"]),
+        ]:
+            calls.clear()
+            assert run(argv, capsys)[0] == 0
+            assert calls == expected, argv
+
+    def test_eval_reports_the_test_session_when_both_are_bad(self, session_pair, tmp_path,
+                                                             capsys):
+        """The test session is opened first, so its fault is the one named,
+        also when the train session's lies in its manifest fields (both
+        bundles were once read before either schedule was checked, and then
+        the train session's read fault won)."""
+        for name, field in (("a", "n_samples"), ("b", "channel_names")):
+            shutil.copytree(session_pair / name, tmp_path / name)
+            _drop(field)(tmp_path / name)
+        code, _, err = run(eval_argv(tmp_path / "a", tmp_path / "b", tmp_path / "e"), capsys)
+        assert (code, err) == (3, f"i/o error: {tmp_path / 'b' / 'manifest.json'}: missing or "
+                                  f"unusable field ('channel_names')\n")
 
 
 class TestNonFiniteSignal:

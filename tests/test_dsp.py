@@ -17,7 +17,7 @@ from p300speller.dsp import (
     filter_recording,
     frequency_response,
 )
-from p300speller.errors import PipelineError, ValidationError
+from p300speller.errors import PipelineError, RateError, ValidationError
 from p300speller.patterns import make_rc_pattern
 from p300speller.scheduler import Events
 
@@ -160,6 +160,14 @@ class TestDecimate:
         rec = Recording(fs_hz=FS, samples=np.zeros((100, 8)))
         with pytest.raises(ValidationError, match="integer"):
             decimate(rec, 30.0)
+
+    def test_factor_tolerance(self):
+        """A rate within 1e-9 of an integer multiple is that multiple (1 included);
+        4e-8 off is not a multiple."""
+        assert dsp._decimation_factor(FS * (1 + 1e-13), 25.0) == 80
+        assert dsp._decimation_factor(25.0, 25.0) == 1
+        with pytest.raises(RateError, match="not an integer multiple"):
+            dsp._decimation_factor(FS + 1e-6, 25.0)
 
     def test_tone_frequency_preserved(self):
         spec = design_bandpass(FS)
@@ -335,3 +343,11 @@ class TestRecording:
             Recording(fs_hz=FS, samples=np.zeros((0, 8)))
         with pytest.raises(ValidationError, match="channel names"):
             Recording(fs_hz=FS, samples=np.zeros((10, 3)))
+
+    def test_onset_at_the_duration_allowed(self):
+        """10 samples at 25 Hz last 0.4 s, and an event at 0.4 s is inside;
+        the next float past it is not."""
+        Recording(fs_hz=25.0, samples=np.zeros((10, 8)), events=events(flash(0.4)))
+        with pytest.raises(ValidationError, match="outside the recording"):
+            Recording(fs_hz=25.0, samples=np.zeros((10, 8)),
+                      events=events(flash(np.nextafter(0.4, 1.0))))

@@ -43,6 +43,16 @@ class TestBits:
         with pytest.raises(ValidationError):
             bits_per_selection(0.5, 1)
 
+    def test_two_symbols(self):
+        """m = 2 is the smallest alphabet: one bit when always right, none at chance."""
+        assert bits_per_selection(1.0, 2) == 1.0
+        assert bits_per_selection(0.5, 2) == 0.0
+
+    def test_zero_accuracy(self):
+        """p = 0 is allowed, and 0 log 0 counts as 0: never right of two is one bit."""
+        assert bits_per_selection(0.0, 2) == 1.0
+        assert bits_per_selection(0.0, 36) == pytest.approx(math.log2(36 / 35), abs=1e-15)
+
 
 class TestItr:
     def test_reference_rate_table(self):

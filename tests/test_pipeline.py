@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from p300speller.dsp import Recording, extract_epochs
-from p300speller.errors import PipelineError, ValidationError
+from p300speller.dsp import Recording, design_bandpass, extract_epochs
+from p300speller.errors import PipelineError, RateError, ValidationError
 from p300speller.patterns import default_matrix, make_constrained_pattern, make_rc_pattern
 from p300speller.pipeline import (
     PipelineConfig,
+    design_filter,
     evaluate,
+    open_bundle,
     preprocess,
     schedule_from_bundle,
     schedule_meta,
@@ -146,3 +148,22 @@ class TestBundleRoundTrip:
         )
         assert np.array_equal(again.accuracy_by_k, direct.accuracy_by_k)
         assert again.auc == direct.auc
+
+
+class TestOpenBundle:
+    def test_recording_and_schedule_of_the_bundle(self, tmp_path):
+        (rec, sched), _ = make_pair("xp300", 5, reps=3)
+        write_session(rec, tmp_path / "s", meta=schedule_meta(sched))
+        again, rebuilt = open_bundle(tmp_path / "s", PipelineConfig())
+        assert np.array_equal(again.samples, rec.samples) and again.fs_hz == rec.fs_hz
+        assert again.events == rec.events == rebuilt.events
+        assert rebuilt.targets == sched.targets and rebuilt.reps == sched.reps
+
+    def test_design_filter_is_the_band_at_a_rate_that_decimates(self):
+        cfg = PipelineConfig()
+        spec = design_filter(2000.0, cfg)
+        assert np.array_equal(spec.sos, design_bandpass(2000.0, 1.0, 12.5, 4).sos)
+        with pytest.raises(RateError, match="2010.0 Hz is not an integer multiple of 25.0 Hz"):
+            design_filter(2010.0, cfg)
+        with pytest.raises(RateError, match=r"at or above Nyquist \(10.0 Hz\)"):
+            design_filter(20.0, cfg)

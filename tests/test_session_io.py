@@ -519,6 +519,18 @@ class TestCanonicalReader:
         with pytest.raises(BundleError, match=re.escape(message)):
             session_io._read_events(path, pattern)
 
+    @pytest.mark.parametrize("sign, infinity", [("", "inf"), ("-", "-inf")])
+    def test_integer_onset_past_float_range_reads_as_infinite(self, canonical, sign, infinity):
+        """A 400-digit integer onset reads as an infinite one, as ``float`` of
+        its text gives, and is reported as not finite; ``float`` of the
+        decoded integer would raise OverflowError instead."""
+        path, pattern = canonical
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace('"onset_s":0.0,', f'"onset_s":{sign}1{"0" * 400},')
+        path.write_text("".join(lines))
+        with pytest.raises(BundleError, match=f"line 1: onset_s must be finite, got {infinity}$"):
+            session_io._read_events(path, pattern)
+
     @pytest.mark.parametrize("edit, message", [
         (lambda line: line.replace('"flash_id":6', '"flash_id":6.0'),
          "line 1: kind, block and flash_id ['flash', 'row', 6.0] name neither a pause nor a "

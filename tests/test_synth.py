@@ -10,6 +10,7 @@ import pytest
 from p300speller import session_io, synth
 from p300speller.cli import DEFAULT_TARGET_TEXT, main
 from p300speller.dsp import DEFAULT_CHANNELS
+from p300speller.errors import ValidationError
 from p300speller.patterns import make_constrained_pattern
 from p300speller.pipeline import PipelineConfig, evaluate, preprocess
 from p300speller.scheduler import make_xp300_schedule
@@ -615,3 +616,20 @@ class TestStreamedSimulate:
         # command's own objects): a third ring buffer, or a float32 block cast
         # per pass, exceeds this
         assert peaks[0] < (2 + 1 + 0.5 + 0.5) * block_bytes
+
+
+class TestSignalCeiling:
+    def test_a_session_at_the_ceiling_renders_and_one_value_past_it_does_not(self, monkeypatch):
+        """onset_s and fs_hz are exact in binary here, so the session's values
+        are counted exactly: the ceiling itself is allowed."""
+        sched = make_xp300_schedule(make_constrained_pattern(6), reps=1, isi_s=0.125,
+                                    targets=[(1, 1)], seed=0)
+        values = int((sched.events.onset_s.max() + 1.0) * 1000) * len(DEFAULT_CHANNELS)
+        monkeypatch.setattr(synth, "MAX_SIGNAL_VALUES", values)
+        rec = synthesize_session(sched, noise=quiet_noise(), fs_hz=1000.0, seed=1)
+        assert rec.samples.size == values
+        monkeypatch.setattr(synth, "MAX_SIGNAL_VALUES", values - 1)
+        with pytest.raises(ValidationError, match=f"fs_hz 1000.0 Hz and a 2.6 s session make "
+                                                  f"2625 samples x 8 channels, more than the "
+                                                  f"{values - 1} values allowed"):
+            synthesize_session(sched, noise=quiet_noise(), fs_hz=1000.0, seed=1)

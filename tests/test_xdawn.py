@@ -275,6 +275,23 @@ class TestFit:
         with pytest.raises(PipelineError, match="two target"):
             fit_xdawn(rec)
 
+    def test_two_targets_fit(self):
+        rec, onsets = random_problem(0)
+        rec.events = rec.events[:2]
+        model = fit_xdawn(rec, erp_len=15, n_f=4)
+        vals, _ = oracle_filters(rec.samples, onsets[:2], 15, 4)
+        assert np.abs(model.rho - vals).max() < 1e-8
+
+    def test_as_many_samples_as_channels_rejected(self):
+        """T = C is too short (X would be square); T = C + 1 fits."""
+        for t, fits in ((8, False), (9, True)):
+            rec, _ = random_problem(0, t=t, c=8, n_onsets=2, erp_len=2)
+            if fits:
+                assert fit_xdawn(rec, erp_len=2, n_f=1).n_f == 1
+            else:
+                with pytest.raises(ValidationError, match="too short"):
+                    fit_xdawn(rec, erp_len=2, n_f=1)
+
     def test_degenerate_signal(self):
         rec, _ = random_problem(0)
         rec.samples[:, 3] = rec.samples[:, 2]  # exact duplicate channel
