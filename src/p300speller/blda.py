@@ -48,7 +48,7 @@ class BldaModel:
         )
 
 
-def fit_blda(features, labels, tol: float = 1e-6, max_iter: int = 200) -> BldaModel:
+def fit_blda(features, labels, tol: float, max_iter: int) -> BldaModel:
     """Fit by evidence maximization.
 
     Regression targets are class-balanced (E/E1 for targets, -E/E0 for

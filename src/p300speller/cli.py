@@ -287,8 +287,7 @@ def cmd_eval(args) -> int:
     directions = [(0, 1, test), (1, 0, train)] if args.swap else [(0, 1, test)]
     runs = []
     for fit, scored, sched in directions:
-        matrix = patterns.default_matrix(sched.n)
-        result = pipeline.evaluate(lows[fit], lows[scored], sched, cfg.pipeline, matrix)
+        result = pipeline.evaluate(lows[fit], lows[scored], sched, cfg.pipeline)
         _note_clamp(cfg.pipeline, result.n_f)
         runs.append((sched, result))
     accuracy = np.mean([result.accuracy_by_k for _, result in runs], axis=0)
@@ -320,30 +319,20 @@ def cmd_report(args) -> int:
         )
     cp = [_read_eval_dir(d) for d in args.cp300]
     xp = [_read_eval_dir(d) for d in args.xp300]
-
-    header = "subject,cp300_mean_acc,xp300_mean_acc,cp300_auc,xp300_auc"
-    rows = []
-    for i, (c, x) in enumerate(zip(cp, xp), start=1):
-        rows.append(f"{i},{c['mean_acc']!r},{x['mean_acc']!r},{c['auc']!r},{x['auc']!r}")
-
-    def column(values):
-        return np.asarray(values, dtype=float)
-
-    cp_acc, xp_acc = column([c["mean_acc"] for c in cp]), column([x["mean_acc"] for x in xp])
-    cp_auc, xp_auc = column([c["auc"] for c in cp]), column([x["auc"] for x in xp])
-    rows.append(
-        "Mean,"
-        + ",".join(repr(float(v.mean())) for v in (cp_acc, xp_acc, cp_auc, xp_auc))
-    )
-    rows.append(
-        "SD,"
-        + ",".join(repr(float(v.std(ddof=1))) for v in (cp_acc, xp_acc, cp_auc, xp_auc))
-    )
-    csv_text = header + "\n" + "\n".join(rows) + "\n"
-
-    # paired comparisons, cp300 minus xp300 (negative t = xp300 higher)
+    columns = [np.array([run[key] for run in cohort]) for key in ("mean_acc", "auc")
+               for cohort in (cp, xp)]
+    cp_acc, xp_acc, cp_auc, xp_auc = columns
+    # paired comparisons, cp300 minus xp300 (negative t = xp300 higher); first,
+    # as they reject a single pair, whose SD below has no degrees of freedom
     t_acc, df, p_acc = metrics.paired_t_test(cp_acc, xp_acc)
     t_auc, _, p_auc = metrics.paired_t_test(cp_auc, xp_auc)
+
+    header = "subject,cp300_mean_acc,xp300_mean_acc,cp300_auc,xp300_auc"
+    rows = [f"{i},{c['mean_acc']!r},{x['mean_acc']!r},{c['auc']!r},{x['auc']!r}"
+            for i, (c, x) in enumerate(zip(cp, xp), start=1)]
+    rows.append("Mean," + ",".join(repr(float(v.mean())) for v in columns))
+    rows.append("SD," + ",".join(repr(float(v.std(ddof=1))) for v in columns))
+    csv_text = header + "\n" + "\n".join(rows) + "\n"
     test_text = (
         f"mean_accuracy: t({df})={t_acc:.4f}, p={p_acc:.3e}\n"
         f"auc: t({df})={t_auc:.4f}, p={p_auc:.3e}\n"

@@ -5,7 +5,8 @@ every character and k at once; the winning row-block and column-block
 flashes index the pattern's pair table (``patterns.pair_table``) for the
 selected cell.  Ties break toward the lowest flash id so decoding is
 deterministic.  Only the (block, flash id) grouping is used -- cell
-geometry never enters, so relabeling symbols permutes decisions exactly.
+geometry never enters.  The decoder returns cells; ``decisions_csv`` is the
+one place a cell is named by its symbol.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PipelineError
-from .patterns import SpellerMatrix, pair_table
+from .patterns import default_matrix, pair_table
 from .scheduler import Schedule
 
 
@@ -22,17 +23,13 @@ class Decisions:
     """Every selection of a session, indexed [character, k - 1] after k
     repetitions: the selected (row, col) ``cells``, shape (chars, reps, 2);
     the accumulated per-(block, flash) ``scores``, shape (chars, reps, 2, n),
-    row-block scores first; the ``symbols`` at the cells, or None when no
-    matrix was given."""
+    row-block scores first."""
 
     cells: np.ndarray
     scores: np.ndarray
-    symbols: np.ndarray | None = None
 
 
-def decode_characters(
-    schedule: Schedule, scores, matrix: SpellerMatrix | None = None
-) -> Decisions:
+def decode_characters(schedule: Schedule, scores) -> Decisions:
     """Decode every character of a schedule from per-flash-event scores.
 
     ``scores`` must hold one value per flash event, in schedule order.
@@ -50,8 +47,7 @@ def decode_characters(
     cumulative = np.cumsum(acc, axis=1)
     winners = cumulative.argmax(axis=-1)  # first max = lowest flash id
     cells = pair_table(schedule.pattern)[winners[..., 0], winners[..., 1]]
-    symbols = None if matrix is None else matrix.symbol_at(cells[..., 0], cells[..., 1])
-    return Decisions(cells, cumulative, symbols)
+    return Decisions(cells, cumulative)
 
 
 def _hits(decisions: Decisions, truth) -> np.ndarray:
@@ -68,13 +64,12 @@ def accuracy_by_repetition(decisions: Decisions, truth) -> np.ndarray:
 
 
 def decisions_csv(decisions: Decisions, truth) -> str:
-    """CSV export: char_index, k, selected_symbol, correct."""
+    """CSV export: char_index, k, selected_symbol, correct.  The symbol is
+    the selected cell's in ``patterns.default_matrix`` of the grid's size."""
     hits = _hits(decisions, truth)
     chars, ks = np.indices(hits.shape)
-    if decisions.symbols is not None:
-        labels = decisions.symbols.ravel().tolist()
-    else:
-        labels = [f"({r},{c})" for r, c in decisions.cells.reshape(-1, 2).tolist()]
+    matrix = default_matrix(decisions.scores.shape[-1])
+    labels = matrix.symbol_at(*decisions.cells.reshape(-1, 2).T).tolist()
     rows = zip(chars.ravel().tolist(), (ks.ravel() + 1).tolist(), labels, hits.ravel().tolist())
     lines = [f"{c},{k},{label},{hit:d}" for c, k, label, hit in rows]
     return "\n".join(["char_index,k,selected_symbol,correct"] + lines) + "\n"

@@ -103,9 +103,7 @@ class EpochSet:
     n_channels: int  # K
 
 
-def design_bandpass(
-    fs_hz: float, low_hz: float = 1.0, high_hz: float = 12.5, order: int = 4
-) -> FilterSpec:
+def design_bandpass(fs_hz: float, low_hz: float, high_hz: float, order: int) -> FilterSpec:
     """Digital Butterworth bandpass via the bilinear transform.
 
     ``order`` is the analog prototype order (the conventional argument of
@@ -322,7 +320,7 @@ def decimate(rec: Recording, fs_out: float) -> Recording:
     return replace(rec, fs_hz=fs_out, samples=rec.samples[::q].copy())
 
 
-def extract_epochs(rec: Recording, window_s: float = 0.6) -> EpochSet:
+def extract_epochs(rec: Recording, window_s: float) -> EpochSet:
     """One feature row per flash event: ``window_s`` of signal from onset.
 
     Rows concatenate channels channel-major (all of channel 1's samples,

@@ -16,13 +16,14 @@ import numpy as np
 
 from . import blda, decoder, dsp, metrics, session_io, xdawn
 from .errors import BundleError, RateError, ValidationError
-from .patterns import SpellerMatrix
 from .scheduler import BLOCKS, Events, Schedule
 
 
 @dataclass
 class PipelineConfig:
-    """Preprocessing and model parameters for training and evaluation."""
+    """Preprocessing and model parameters for training and evaluation: the
+    paper's offline protocol, written only here (the dsp, xdawn and blda
+    functions take each value without a default)."""
 
     low_hz: float = 1.0
     high_hz: float = 12.5
@@ -95,11 +96,9 @@ def train_models(
 ) -> tuple[xdawn.SpatialFilterModel, blda.BldaModel]:
     """Fit the spatial filters and the classifier on one preprocessed session."""
     _require_low_rate(low, cfg)
-    sf = xdawn.fit_xdawn(low, erp_len=cfg.erp_len, n_f=cfg.n_f)
+    sf = xdawn.fit_xdawn(low, cfg.erp_len, cfg.n_f)
     epochs = dsp.extract_epochs(xdawn.apply_spatial_filter(sf, low), cfg.window_s)
-    clf = blda.fit_blda(
-        epochs.epochs, epochs.labels, tol=cfg.blda_tol, max_iter=cfg.blda_max_iter
-    )
+    clf = blda.fit_blda(epochs.epochs, epochs.labels, cfg.blda_tol, cfg.blda_max_iter)
     return sf, clf
 
 
@@ -117,16 +116,12 @@ def score_session(
 
 
 def evaluate(
-    train_low: dsp.Recording,
-    test_low: dsp.Recording,
-    test_schedule: Schedule,
-    cfg: PipelineConfig,
-    matrix: SpellerMatrix | None = None,
+    train_low: dsp.Recording, test_low: dsp.Recording, test_schedule: Schedule, cfg: PipelineConfig
 ) -> EvalResult:
     """Train on one preprocessed session, decode and score the other."""
     sf, clf = train_models(train_low, cfg)
     scores, labels = score_session(test_low, sf, clf, cfg)
-    decisions = decoder.decode_characters(test_schedule, scores, matrix)
+    decisions = decoder.decode_characters(test_schedule, scores)
     accuracy = decoder.accuracy_by_repetition(decisions, test_schedule.targets)
     curve = metrics.roc(scores, labels)
     return EvalResult(accuracy_by_k=accuracy, roc=curve, auc=curve.auc, n_f=sf.n_f,

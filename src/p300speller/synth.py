@@ -31,7 +31,8 @@ every noise draw in block order, so the innovations are those of one
 GIL, so on two cores they overlap.  The rhythm's phases and the onset jitters come from a
 child stream (``Generator.spawn``), which leaves the noise stream as it
 is.  Each response product (template kernel times gain, outer
-topography) is built once per distinct gain.
+topography) is built once per distinct gain, and their count is checked
+against ``MAX_RESPONSE_VALUES`` before any is built.
 
 All amplitudes are in microvolts.  None of the magnitudes are measured
 values; they exist so the pipeline is testable without human recordings.
@@ -59,6 +60,12 @@ _RING = 2
 # scheduler.MAX_EVENTS is 375 times its events); the signal and its file grow
 # with fs_hz, which nothing else bounds
 MAX_SIGNAL_VALUES = 2**31
+# the most float64 values the response products, all held for the whole render,
+# may take (products x longest kernel x channels): 2**27, 1 GiB, 690 times the
+# default cp300 protocol's 26 x 940 x 8; they grow with fs_hz and the distinct
+# blink gains, and a short session at a high rate passes the signal ceiling
+MAX_RESPONSE_VALUES = 2**27
+FWHM_SIGMA = 2.3548200450309493  # a Gaussian's full width at half maximum / sigma
 
 
 @dataclass
@@ -71,11 +78,14 @@ class ErpTemplate:
     amplitude_uv: float
     topography: np.ndarray
 
+    def length(self, fs_hz: float) -> int:
+        """Kernel samples, from onset to peak + 4 sigma."""
+        return int(round((self.peak_latency_s + 4 * (self.width_s / FWHM_SIGMA)) * fs_hz))
+
     def waveform(self, fs_hz: float) -> np.ndarray:
-        """Sampled kernel from onset to peak + 4 sigma."""
-        sigma = self.width_s / 2.3548200450309493  # FWHM -> sigma
-        duration = self.peak_latency_s + 4 * sigma
-        t = np.arange(int(round(duration * fs_hz))) / fs_hz
+        """Sampled kernel of ``length`` samples."""
+        t = np.arange(self.length(fs_hz)) / fs_hz
+        sigma = self.width_s / FWHM_SIGMA
         return self.amplitude_uv * np.exp(-0.5 * ((t - self.peak_latency_s) / sigma) ** 2)
 
 
@@ -192,8 +202,9 @@ def synthesize_session(
         templates = default_templates()
     if noise is None:
         noise = NoiseModel()
+    visual_templates = visual_templates or []
     channels, n_ch = DEFAULT_CHANNELS, len(DEFAULT_CHANNELS)
-    for tpl in templates + (visual_templates or []):
+    for tpl in templates + visual_templates:
         if np.asarray(tpl.topography).shape != (n_ch,):
             raise ValidationError(f"template {tpl.name!r} topography must have {n_ch} entries")
     seconds = float(schedule.events.onset_s.max()) + tail_s
@@ -201,16 +212,24 @@ def synthesize_session(
         raise ValidationError(f"fs_hz {fs_hz} Hz and a {seconds:.1f} s session make "
                               f"{seconds * fs_hz:.4g} samples x {n_ch} channels, more than the "
                               f"{MAX_SIGNAL_VALUES} values allowed")
+    flashes = schedule.events[schedule.events.is_flash]
+    ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
+    gains = [1.0] + [blink.gain(tti) if blink is not None else 1.0 for tti in ttis]
+    products = len(set(gains)) * len(templates) + len(visual_templates)
+    longest = max((tpl.length(fs_hz) for tpl in templates + visual_templates), default=0)
+    if products * longest * n_ch > MAX_RESPONSE_VALUES:  # before any kernel or product
+        raise ValidationError(f"fs_hz {fs_hz} Hz makes {products} response products of "
+                              f"{longest} samples x {n_ch} channels, more than the "
+                              f"{MAX_RESPONSE_VALUES} values allowed")
 
     rng = np.random.default_rng(seed)
     later = rng.spawn(1)[0]  # the phases and jitters, so that the noise is rng's whole stream
-    flashes = schedule.events[schedule.events.is_flash]
     n_samples = int(round(seconds * fs_hz))
     phases = later.uniform(0.0, 2 * np.pi, n_ch) if noise.alpha_amp_uv > 0 else None
     # one jitter draw per flash regardless of settings keeps the RNG
     # stream independent of the blink/template configuration
     jitters = later.uniform(-onset_jitter_s, onset_jitter_s, len(flashes))
-    responses = partial(_responses_by_block, flashes, jitters, templates, blink,
+    responses = partial(_responses_by_block, flashes, jitters, gains, templates,
                         visual_templates, fs_hz, n_samples)
     render = partial(_render, noise, phases, responses, fs_hz, n_samples, n_ch, rng, spare)
     if out is None:
@@ -281,16 +300,16 @@ def _render(noise, phases, responses, fs_hz, n_samples, n_ch, rng, spare, store)
             del block
 
 
-def _responses_by_block(flashes, jitters, templates, blink, visual_templates, fs_hz, n_samples):
+def _responses_by_block(flashes, jitters, gains, templates, visual_templates, fs_hz, n_samples):
     """Per ``_ROWS`` block, the (start sample, response) pairs that overlap
-    it, in flash order; a response that starts outside the signal is left out."""
+    it, in flash order; a response that starts outside the signal is left out.
+    ``gains``: each target flash's, in order."""
     starts = np.rint((flashes.onset_s + jitters) * fs_hz).astype(int)
     kernels = [tpl.waveform(fs_hz) for tpl in templates]
-    ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
-    gains = iter([1.0] + [blink.gain(tti) if blink is not None else 1.0 for tti in ttis])
+    gains = iter(gains)
 
     responses = {}  # gain -> each template's response at that gain, built once
-    visual = [np.outer(tpl.waveform(fs_hz), tpl.topography) for tpl in visual_templates or []]
+    visual = [np.outer(tpl.waveform(fs_hz), tpl.topography) for tpl in visual_templates]
     by_block = [[] for _ in range(0, n_samples, _ROWS)]
     adding = slice(None) if visual else flashes.is_target  # the flashes that add a response
     for start, is_target in zip(starts[adding].tolist(), flashes.is_target[adding].tolist()):

@@ -110,7 +110,7 @@ def _signal_triangle(x: np.ndarray) -> np.ndarray:
     return r3 @ r2 @ r1
 
 
-def fit_xdawn(rec: Recording, erp_len: int = 15, n_f: int = 4) -> SpatialFilterModel:
+def fit_xdawn(rec: Recording, erp_len: int, n_f: int) -> SpatialFilterModel:
     """Estimate spatial filters from a filtered, decimated recording.
 
     Filters are normalized to unit Euclidean length with the

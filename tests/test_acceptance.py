@@ -38,6 +38,7 @@ from p300speller.synth import BlinkModel, default_templates, synthesize_session
 from p300speller.xdawn import build_toeplitz, fit_xdawn
 
 ISI = 0.133
+cfg = PipelineConfig()  # the chain's parameters, for the layer calls of criteria 6 and 7
 
 
 def test_criterion_01_constrained_patterns_exhaustive():
@@ -182,7 +183,7 @@ def test_criterion_06_blda_oracle_equivalence():
             labels[:2] = True
         x = rng.standard_normal((n, d))
         x[labels] += 0.7
-        m = fit_blda(x, labels)
+        m = fit_blda(x, labels, cfg.blda_tol, cfg.blda_max_iter)
         assert m.converged, seed
         t = np.where(labels, n / labels.sum(), -n / (~labels).sum())
         g = np.vstack([x.T, np.ones(n)])
@@ -197,14 +198,14 @@ def test_criterion_06_blda_oracle_equivalence():
     rng = np.random.default_rng(99)
     labels = rng.random(300) < 0.5
     toy = np.where(labels[:, None], 1.0, -1.0) + 0.1 * rng.standard_normal((300, 2))
-    model = fit_blda(toy, labels)
+    model = fit_blda(toy, labels, cfg.blda_tol, cfg.blda_max_iter)
     auc = roc(score(model, toy), labels).auc
     assert auc == 1.0
     print(f"PASS criterion 6: max posterior-mean error {worst:.2e}, toy AUC {auc}")
 
 
 def test_criterion_07_filter_response():
-    spec = design_bandpass(2000.0)
+    spec = design_bandpass(2000.0, cfg.low_hz, cfg.high_hz, cfg.filter_order)
     low_db, high_db = 20 * np.log10(np.abs(frequency_response(spec, [1.0, 12.5])))
     dc = abs(frequency_response(spec, [0.0])[0])
     mid_db = 20 * np.log10(abs(frequency_response(spec, [5.0])[0]))

@@ -196,6 +196,28 @@ class TestSimulate:
         assert peak < 1e6
         assert not (tmp_path / "s").exists()
 
+    def test_response_products_above_the_ceiling_exit_2_before_allocating(self, tmp_path,
+                                                                          capsys):
+        """A one-character session at 75 MHz passes the signal ceiling, and its
+        two 2.1 GiB response products once ended in a MemoryError (exit 1)."""
+        import tracemalloc
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": 1, "target_text": "A", "synth": {"fs_hz": 7.5e7}}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(["simulate", "--out", str(tmp_path / "s"), "--seed", "1",
+                                  "--config", str(cfg)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: fs_hz 75000000.0 Hz makes 2 response products of 35239827 "
+                       f"samples x 8 channels, more than the {synth.MAX_RESPONSE_VALUES} values "
+                       "allowed\n")
+        assert peak < 1e6
+        assert not (tmp_path / "s").exists()
+
     def test_seed_required(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "--out", str(tmp_path / "s")])
@@ -1099,6 +1121,21 @@ class TestReport:
             ["report", "--cp300", a, b, "--xp300", c, "--out", str(tmp_path / "rep")], capsys
         )
         assert code == 2
+
+    def test_one_pair_exits_2_without_a_warning(self, tmp_path, capsys):
+        """The t-tests reject a single pair before the SD row is computed,
+        which once warned of zero degrees of freedom on stderr first."""
+        import warnings
+
+        a = self._eval_dir(tmp_path, "a", [0.5], 0.8)
+        b = self._eval_dir(tmp_path, "b", [0.6], 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["report", "--cp300", a, "--xp300", b, "--out",
+                                  str(tmp_path / "rep")], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: need two equal-length vectors with at least two pairs\n"
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("name, raw, message", [
         ("metrics.csv", b"k,accuracy,itr_bpm\n1,abc,0.0\n", ":2: 'abc' is not a number"),

@@ -64,18 +64,22 @@ class TestDecode:
         base = decode_characters(sched, scores)
         shifted = decode_characters(sched, scores + 17.5)
         assert np.array_equal(base.cells, shifted.cells)
-        assert base.symbols is None and shifted.symbols is None
 
     def test_symbol_lookup(self):
-        matrix = default_matrix(6)
         sched = make_cp300_schedule(make_rc_pattern(6), 1, ISI, [(1, 2)], seed=0)
-        decisions = decode_characters(sched, oracle_scores(sched), matrix)
-        assert (decisions.cells[0, 0].tolist(), decisions.symbols[0, 0]) == ([1, 2], "B")
+        decisions = decode_characters(sched, oracle_scores(sched))
+        assert decisions.cells[0, 0].tolist() == [1, 2]
+        assert decisions_csv(decisions, [(1, 2)]).splitlines()[1] == "0,1,B,1"
 
     def test_score_count_mismatch(self):
         sched = make_cp300_schedule(make_rc_pattern(6), 1, ISI, [(1, 1)], seed=0)
         with pytest.raises(PipelineError, match="mismatch"):
             decode_characters(sched, [1.0, 2.0])
+
+    def test_a_scalar_score_counts_as_none(self):
+        sched = make_cp300_schedule(make_rc_pattern(6), 1, ISI, [(1, 1)], seed=0)
+        with pytest.raises(PipelineError, match="mismatch: 0 scores for 12 flash events"):
+            decode_characters(sched, 1.0)
 
     def test_score_table_shape_and_accumulation(self):
         sched = make_cp300_schedule(make_rc_pattern(6), 3, ISI, [(2, 2)], seed=4)
@@ -110,9 +114,10 @@ class TestDecode:
 )
 @SETTINGS
 def test_table_matches_per_decision_reference(paradigm, n, reps, n_chars, tied, seed):
-    """Every cell, symbol and score of the table is what a loop over
+    """Every cell, score and CSV symbol of the table is what a loop over
     (character, k) finds: the lowest flash id among each block's maxima,
-    then the one cell whose r_hat and c_hat are those flashes."""
+    then the one cell whose r_hat and c_hat are those flashes, named by the
+    grid's default matrix."""
     rng = np.random.default_rng(seed)
     targets = [tuple(int(v) for v in rng.integers(1, n + 1, size=2)) for _ in range(n_chars)]
     if paradigm == "cp300":
@@ -125,7 +130,8 @@ def test_table_matches_per_decision_reference(paradigm, n, reps, n_chars, tied, 
     # small integers tie often, within a repetition and in the cumulative sums
     scores = rng.integers(0, 2, len(e)).astype(float) if tied else rng.standard_normal(len(e))
     matrix = default_matrix(n)
-    decisions = decode_characters(sched, scores, matrix)
+    decisions = decode_characters(sched, scores)
+    csv_rows = [line.split(",") for line in decisions_csv(decisions, targets).splitlines()[1:]]
 
     cumulative = np.zeros((n_chars, reps, 2, n))
     for char, rep, block, flash_id, score in zip(
@@ -141,8 +147,9 @@ def test_table_matches_per_decision_reference(paradigm, n, reps, n_chars, tied, 
             assert len(rows) == 1
             cell = (int(rows[0]) + 1, int(cols[0]) + 1)
             assert tuple(decisions.cells[c, k].tolist()) == cell
-            assert decisions.symbols[c, k] == matrix.symbol_at(*cell)
             hits[c, k] = cell == targets[c]
+            assert csv_rows[c * reps + k] == [str(c), str(k + 1), matrix.symbol_at(*cell),
+                                              str(int(hits[c, k]))]
     assert np.array_equal(accuracy_by_repetition(decisions, targets), hits.mean(axis=0))
 
 
@@ -163,18 +170,15 @@ class TestAccuracy:
 
 class TestCsv:
     def test_rows(self):
-        matrix = default_matrix(6)
-        sched = make_cp300_schedule(make_rc_pattern(6), 2, ISI, [(1, 1), (2, 5)], seed=0)
-        decisions = decode_characters(sched, oracle_scores(sched), matrix)
-        text = decisions_csv(decisions, [(1, 1), (2, 5)])
-        lines = text.strip().splitlines()
-        assert lines[0] == "char_index,k,selected_symbol,correct"
-        assert lines[1] == "0,1,A,1"
-        assert len(lines) == 1 + 2 * 2
-
-    def test_rows_without_matrix(self):
         sched = make_cp300_schedule(make_rc_pattern(6), 2, ISI, [(1, 1), (2, 5)], seed=0)
         decisions = decode_characters(sched, oracle_scores(sched))
         text = decisions_csv(decisions, [(1, 1), (3, 5)])
         assert text == ("char_index,k,selected_symbol,correct\n"
-                        "0,1,(1,1),1\n0,2,(1,1),1\n1,1,(2,5),0\n1,2,(2,5),0\n")
+                        "0,1,A,1\n0,2,A,1\n1,1,K,0\n1,2,K,0\n")
+
+    def test_symbols_of_the_grid_size(self):
+        """The grid's size comes from the score table: a 12 x 12 grid names
+        its cells by the numbered tokens of ``default_matrix(12)``."""
+        sched = make_cp300_schedule(make_rc_pattern(12), 1, ISI, [(12, 1)], seed=0)
+        decisions = decode_characters(sched, oracle_scores(sched))
+        assert decisions_csv(decisions, [(12, 1)]).splitlines()[1] == "0,1,S132,1"

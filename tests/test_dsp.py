@@ -22,6 +22,7 @@ from p300speller.patterns import make_rc_pattern
 from p300speller.scheduler import Events
 
 FS = 2000.0
+CFG = pipeline.PipelineConfig()  # the chain's band and epoch window
 
 
 def flash(onset_s, is_target=False):
@@ -42,17 +43,17 @@ def events(*rows):
 
 class TestDesign:
     def test_band_edges_at_minus_3db(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         mags = np.abs(frequency_response(spec, [1.0, 12.5]))
         db = 20 * np.log10(mags)
         assert db == pytest.approx([-3.0103, -3.0103], abs=0.1)
 
     def test_exact_dc_null(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         assert abs(frequency_response(spec, [0.0])[0]) < 1e-12
 
     def test_passband_flat_at_5hz(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         realized_db = 20 * np.log10(abs(frequency_response(spec, [5.0])[0]))
         # analog-prototype oracle: lowpass-transformed frequency at 5 Hz
         omega = (5.0**2 - 1.0 * 12.5) / ((12.5 - 1.0) * 5.0)
@@ -61,7 +62,7 @@ class TestDesign:
         assert realized_db == pytest.approx(analog_db, abs=0.05)
 
     def test_poles_inside_unit_circle(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         for section in spec.sos:
             assert np.all(np.abs(np.roots(section[3:])) < 1.0)
 
@@ -86,7 +87,7 @@ class TestDesign:
 
     def test_band_above_nyquist_rejected(self):
         with pytest.raises(ValidationError, match="Nyquist"):
-            design_bandpass(20.0)
+            design_bandpass(20.0, CFG.low_hz, CFG.high_hz, CFG.filter_order)
 
     @pytest.mark.parametrize("fs", [250.0, 2000.0])
     @pytest.mark.parametrize("order", range(1, 9))
@@ -101,13 +102,13 @@ class TestDesign:
 
 class TestFilter:
     def test_zero_in_zero_out(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         rec = Recording(fs_hz=FS, samples=np.zeros((500, 8)))
         out = filter_recording(spec, rec, FS)
         assert np.all(out.samples == 0)
 
     def test_channel_independence(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         x = np.zeros((500, 8))
         x[100, 2] = 1.0
         out = filter_recording(spec, Recording(fs_hz=FS, samples=x), FS)
@@ -116,7 +117,7 @@ class TestFilter:
         assert np.any(out.samples[:, 2] != 0)
 
     def test_steady_state_gain_at_5hz(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         t = np.arange(int(30 * FS)) / FS
         x = np.sin(2 * np.pi * 5.0 * t)[:, None]
         out = filter_recording(spec, Recording(fs_hz=FS, samples=x, channel_names=("a",)), FS)
@@ -126,7 +127,7 @@ class TestFilter:
         assert measured == pytest.approx(expected, rel=0.01)
 
     def test_rate_mismatch(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         with pytest.raises(ValidationError, match="Hz"):
             filter_recording(spec, Recording(fs_hz=1000.0, samples=np.zeros((10, 8))), 25.0)
 
@@ -170,7 +171,7 @@ class TestDecimate:
             dsp._decimation_factor(FS + 1e-6, 25.0)
 
     def test_tone_frequency_preserved(self):
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         t = np.arange(int(40 * FS)) / FS
         x = np.sin(2 * np.pi * 7.0 * t)[:, None]
         out = filter_recording(spec, Recording(fs_hz=FS, samples=x, channel_names=("a",)), 25.0)
@@ -200,7 +201,7 @@ class TestStreamedFilter:
     def test_matches_sosfilt(self, q, n_channels):
         # the block state space sums in another order than sosfilt: equal to
         # far below the float32 resolution of the recorded signal
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         for rec in self.signals(q, n_channels):
             out = filter_recording(spec, rec, FS / q)
             expected = signal.sosfilt(spec.sos, rec.samples, axis=0)[::q]
@@ -214,7 +215,7 @@ class TestStreamedFilter:
     @pytest.mark.parametrize("n_channels", [1, 8, 64])
     def test_same_bytes_as_one_pass(self, q, n_channels, monkeypatch):
         # one chunk per block of rows, the default, and the whole recording at once
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         for rec in self.signals(q, n_channels):
             outputs = []
             whole = rec.samples.size * q * dsp.FILTER_CHUNK_BLOCKS
@@ -226,14 +227,15 @@ class TestStreamedFilter:
 
     def test_non_integer_factor(self):
         rec = Recording(fs_hz=FS, samples=np.zeros((100, 8)))
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         with pytest.raises(ValidationError, match="integer"):
-            filter_recording(design_bandpass(FS), rec, 30.0)
+            filter_recording(spec, rec, 30.0)
 
     def test_factor_above_recording_length(self):
         # one partial block of 1,000 rows: nothing may grow with q = 100,000
         x = np.random.default_rng(1).standard_normal((1000, 2)).astype(np.float32)
         rec = Recording(fs_hz=FS, samples=x, channel_names=("a", "b"))
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         tracemalloc.start()
         try:
             out = filter_recording(spec, rec, FS / 100_000)
@@ -252,7 +254,7 @@ class TestStreamedFilter:
     def test_bounded_memory(self):
         x = np.random.default_rng(0).standard_normal((200_000, 64)).astype(np.float32)
         rec = Recording(fs_hz=FS, samples=x, channel_names=tuple(map(str, range(64))))
-        spec = design_bandpass(FS)
+        spec = design_bandpass(FS, CFG.low_hz, CFG.high_hz, CFG.filter_order)
         tracemalloc.start()
         try:
             filter_recording(spec, rec, 25.0)

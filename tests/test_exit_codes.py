@@ -1,9 +1,11 @@
 """Property test of the CLI exit-code contract.
 
-Whatever the config file or the bundle holds, every command exits 0, 2, 3
-or 4, no exception escapes ``main``, and the same input run twice gives the
-same code and the same message.  Drawn numbers stay in small ranges, so no
-example allocates more than a few MB.
+Whatever the config file, the bundle, the ``pattern`` flags or the eval
+outputs given to ``report`` hold, every command exits 0, 2, 3 or 4, no
+exception escapes ``main``, and the same input run twice gives the same code
+and the same message.  Drawn numbers stay in small ranges, or past a size
+ceiling that is checked before anything is allocated, so no example
+allocates more than a few MB.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from p300speller.cli import main
+from p300speller.patterns import MAX_N
 
 # Hypothesis caches constants from the package's source while pytest collects
 # tests; keep that cache out of the working directory
@@ -257,3 +260,100 @@ def test_deeply_nested_config_exits_2(small_bundle, tmp_path, command):
             "train": ["train", "--session", small_bundle, "--out", tmp_path / "m"]}[command]
     code, err = run_twice(argv + ["--config", cfg])
     assert code == 2 and err.startswith(f"error: {cfg}: maximum recursion depth")
+
+
+@given(kind=st.sampled_from(["rc", "permuted", "constrained"]),
+       seed=st.one_of(st.none(), st.integers(0, 2**40)),
+       n=st.one_of(st.integers(-2, 9), st.integers(MAX_N + 1, 10**15)),
+       to_file=st.booleans())
+@example(kind="rc", seed=None, n=MAX_N + 1, to_file=False)
+@SETTINGS
+def test_any_pattern(kind, seed, n, to_file):
+    """An --n past the ceiling exits 2 before the n x n matrices exist, so a
+    drawn n of up to 10**15 allocates nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["pattern", "--kind", kind, "--n", n]
+        argv += [] if seed is None else ["--seed", seed]
+        argv += ["--out", Path(tmp) / "p.json"] if to_file else []
+        code, err = run_twice(argv)
+        if n > MAX_N:
+            assert (code, err) == (2, f"error: --n must be at most {MAX_N}, got {n}\n")
+
+
+@pytest.fixture(scope="module")
+def eval_dirs(small_bundle, tmp_path_factory):
+    """Three real eval outputs: fitted on the small bundle or on a second
+    seed's, and scored on the other or on itself."""
+    root = tmp_path_factory.mktemp("evals")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps(SMALL))
+    other = root / "s2"
+    assert main(["simulate", "--out", str(other), "--seed", "2", "--config", str(cfg)]) == 0
+    dirs = []
+    for name, fit, scored in (("e12", small_bundle, other), ("e21", other, small_bundle),
+                              ("e11", small_bundle, small_bundle)):
+        dirs.append(root / name)
+        assert main(["eval", "--train-session", str(fit), "--test-session", str(scored),
+                     "--out", str(dirs[-1]), "--config", str(cfg)]) == 0
+    return dirs
+
+
+EVAL_FILES = ["metrics.csv", "summary.txt"]
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]
+FIELDS = ["", " ", "nan", "NaN", "inf", "-inf", "x", "1e999", "0x1", "0.5", "1,2", "=", "\u00e9"]
+REPORT_EDITS = st.one_of(
+    st.tuples(st.just("none"), st.none()),
+    st.tuples(st.just("missing"), st.sampled_from(EVAL_FILES)),
+    st.tuples(st.just("bytes"), st.tuples(st.sampled_from(EVAL_FILES), st.integers(0, 10**6),
+                                          st.sampled_from(NOT_UTF8))),
+    st.tuples(st.just("field"), st.tuples(st.sampled_from(EVAL_FILES), st.integers(0, 10**6),
+                                          st.sampled_from(FIELDS))),
+    st.tuples(st.just("blank"), st.tuples(st.sampled_from(EVAL_FILES), st.integers(0, 10**6))),
+)
+COHORT = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+
+
+def edit_eval_dir(path: Path, edit) -> None:
+    """One edit of an eval output: a file removed, non-UTF-8 bytes or a blank
+    line inserted, or a value (an accuracy, or the auc) replaced."""
+    kind, how = edit
+    if kind == "missing":
+        (path / how).unlink()
+    elif kind != "none":
+        name, where = how[:2]
+        data = (path / name).read_bytes()
+        lines = data.splitlines(keepends=True)
+        i = where % len(lines)
+        if kind == "bytes":
+            data = data[: where % len(data)] + how[2] + data[where % len(data):]
+        elif kind == "blank":
+            data = b"".join(lines[:i] + [b"\n"] + lines[i:])
+        elif name == "summary.txt":
+            data = b"auc=" + how[2].encode() + b"\n"
+        else:
+            fields = lines[max(i, 1)].split(b",")  # an accuracy, past the header
+            fields[1] = how[2].encode()
+            data = b"".join(lines[: max(i, 1)] + [b",".join(fields)] + lines[max(i, 1) + 1:])
+        (path / name).write_bytes(data)
+
+
+@given(cp=COHORT, xp=st.one_of(st.none(), COHORT), edit=REPORT_EDITS)
+@example(cp=[0, 1], xp=None, edit=("none", None))
+@example(cp=[0, 1], xp=[0, 2, 1], edit=("none", None))
+@SETTINGS
+def test_any_report(eval_dirs, cp, xp, edit):
+    """``xp=None`` gives xp300 the cp300 cohort: every paired difference is
+    zero, and the t-test has no variance to divide by.  The first cp300
+    directory is an edited copy."""
+    xp = cp if xp is None else xp
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(eval_dirs[cp[0]], tmp / "edited")
+        edit_eval_dir(tmp / "edited", edit)
+        cp_dirs = [tmp / "edited"] + [eval_dirs[i] for i in cp[1:]]
+        code, err = run_twice(["report", "--cp300", *cp_dirs,
+                               "--xp300", *[eval_dirs[i] for i in xp], "--out", tmp / "r"])
+        if len(cp) != len(xp):
+            assert code == 2 and err.startswith("error: cohort size mismatch")
+        elif edit[0] == "none" and cp == xp:
+            assert code == (4 if len(cp) > 1 else 2)

@@ -89,8 +89,7 @@ class TestChain:
     def test_cross_session_high_snr(self):
         (train, _), (test, test_sched) = make_pair("xp300", 4, reps=5)
         cfg = PipelineConfig()
-        result = evaluate(preprocess(train, cfg), preprocess(test, cfg), test_sched, cfg,
-                          default_matrix(6))
+        result = evaluate(preprocess(train, cfg), preprocess(test, cfg), test_sched, cfg)
         assert result.auc >= 0.95
         assert result.accuracy_by_k[-1] >= 0.9
 

@@ -480,8 +480,10 @@ class TestBackground:
                                     seed=0)
         flashes = sched.events[sched.events.is_flash]
         n = int(round((sched.events.onset_s.max() + 1.0) * 2000.0))
-        by_block = synth._responses_by_block(flashes, np.zeros(len(flashes)), default_templates(),
-                                             BlinkModel(), None, 2000.0, n)
+        ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
+        gains = [1.0] + [BlinkModel().gain(tti) for tti in ttis]  # each target flash's
+        by_block = synth._responses_by_block(flashes, np.zeros(len(flashes)), gains,
+                                             default_templates(), [], 2000.0, n)
         responses = {id(r): r.nbytes for pairs in by_block for _, r in pairs}
         block_bytes = synth._ROWS * len(DEFAULT_CHANNELS) * 8
         for alpha_amp_uv, rhythm_blocks in ((0.0, 0), (2.0, 2)):
@@ -633,3 +635,40 @@ class TestSignalCeiling:
                                                   f"2625 samples x 8 channels, more than the "
                                                   f"{values - 1} values allowed"):
             synthesize_session(sched, noise=quiet_noise(), fs_hz=1000.0, seed=1)
+
+
+class TestResponseCeiling:
+    @pytest.mark.parametrize("blink, visual, products",
+                             [(None, None, 2), (BlinkModel(), None, 4),
+                              (BlinkModel(), default_templates(), 6)],
+                             ids=["one-gain", "two-gains", "two-gains-and-visual"])
+    def test_products_at_the_ceiling_render_and_one_value_past_them_do_not(
+        self, monkeypatch, schedule, blink, visual, products
+    ):
+        """The products counted before the render are those it builds (two
+        templates per distinct gain, plus the visual ones), each bounded by
+        the longest kernel, 470 samples at 1 kHz: the ceiling itself is
+        allowed."""
+        built = []
+        responses_by_block = synth._responses_by_block
+
+        def counting(*args):
+            by_block = responses_by_block(*args)
+            built.append(len({id(response) for block in by_block for _, response in block}))
+            return by_block
+
+        monkeypatch.setattr(synth, "_responses_by_block", counting)
+        render = partial(synthesize_session, schedule, noise=quiet_noise(), blink=blink,
+                         fs_hz=1000.0, seed=1, visual_templates=visual)
+        monkeypatch.setattr(synth, "MAX_RESPONSE_VALUES", 2**31)
+        render()
+        assert built == [products]
+        values = products * 470 * len(DEFAULT_CHANNELS)
+        monkeypatch.setattr(synth, "MAX_RESPONSE_VALUES", values)
+        render()
+        monkeypatch.setattr(synth, "MAX_RESPONSE_VALUES", values - 1)
+        with pytest.raises(ValidationError, match=f"fs_hz 1000.0 Hz makes {products} response "
+                                                  f"products of 470 samples x 8 channels, more "
+                                                  f"than the {values - 1} values allowed"):
+            render()
+        assert built == [products, products]

@@ -10,6 +10,7 @@ from p300speller import xdawn
 from p300speller.dsp import Recording
 from p300speller.errors import PipelineError, ValidationError
 from p300speller.patterns import make_rc_pattern
+from p300speller.pipeline import PipelineConfig
 from p300speller.scheduler import Events
 from p300speller.xdawn import (
     SpatialFilterModel,
@@ -19,6 +20,7 @@ from p300speller.xdawn import (
 )
 
 FS = 25.0
+CFG = PipelineConfig()  # the chain's ERP window and filter count
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
@@ -258,7 +260,7 @@ class TestFit:
         rec, _ = random_problem(0)
         rec.events = target_flashes(np.array(onsets) / FS)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            fit_xdawn(rec, erp_len=15)
+            fit_xdawn(rec, erp_len=15, n_f=CFG.n_f)
 
     def test_repeated_onsets_fit(self):
         # two target flashes that round to one sample add two responses there
@@ -273,7 +275,7 @@ class TestFit:
         rec, _ = random_problem(0)
         rec.events = rec.events[:1]
         with pytest.raises(PipelineError, match="two target"):
-            fit_xdawn(rec)
+            fit_xdawn(rec, CFG.erp_len, CFG.n_f)
 
     def test_two_targets_fit(self):
         rec, onsets = random_problem(0)
@@ -296,7 +298,7 @@ class TestFit:
         rec, _ = random_problem(0)
         rec.samples[:, 3] = rec.samples[:, 2]  # exact duplicate channel
         with pytest.raises(PipelineError, match="rank-deficient"):
-            fit_xdawn(rec)
+            fit_xdawn(rec, CFG.erp_len, CFG.n_f)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_sample_names_channel(self, value):
@@ -304,20 +306,20 @@ class TestFit:
         samples = rec.samples.copy()
         samples[600, 2] = value
         with pytest.raises(PipelineError, match="^channel 'ch2' holds non-finite samples$"):
-            fit_xdawn(recording(samples, onsets))
+            fit_xdawn(recording(samples, onsets), CFG.erp_len, CFG.n_f)
 
     @pytest.mark.parametrize("scale", [1e-30, 1e-15, 1e15, 1e30])
     def test_scale_does_not_change_the_fit(self, scale):
         rec, onsets = random_problem(0)
-        model = fit_xdawn(rec, n_f=8)
-        scaled = fit_xdawn(recording(rec.samples * scale, onsets), n_f=8)
+        model = fit_xdawn(rec, CFG.erp_len, n_f=8)
+        scaled = fit_xdawn(recording(rec.samples * scale, onsets), CFG.erp_len, n_f=8)
         assert np.abs(scaled.u - model.u).max() < 1e-13
         assert np.abs(scaled.rho - model.rho).max() < 1e-15
 
     def test_zero_signal_is_degenerate(self):
         rec, onsets = random_problem(0)
         with pytest.raises(PipelineError, match="rank-deficient"):
-            fit_xdawn(recording(rec.samples * 0.0, onsets))
+            fit_xdawn(recording(rec.samples * 0.0, onsets), CFG.erp_len, CFG.n_f)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -335,9 +337,9 @@ class TestFit:
         assert (reference is not None) == fits
         if not fits:
             with pytest.raises(PipelineError, match="rank-deficient"):
-                fit_xdawn(recording(samples, onsets), n_f=4)
+                fit_xdawn(recording(samples, onsets), CFG.erp_len, n_f=4)
             return
-        model = fit_xdawn(recording(samples, onsets), n_f=4)
+        model = fit_xdawn(recording(samples, onsets), CFG.erp_len, n_f=4)
         s = np.linalg.svd(samples, compute_uv=False)
         tolerance = 10 * np.finfo(float).eps * s[0] / s[-1]
         assert np.abs(model.u - reference[0]).max() < tolerance
@@ -350,7 +352,7 @@ class TestFit:
         samples, onsets = conditioning_case(1e-2)
         reference = householder_fit(samples, onsets, 15, 4)
         monkeypatch.setattr(np.linalg, "qr", householder)
-        model = fit_xdawn(recording(samples, onsets), n_f=4)
+        model = fit_xdawn(recording(samples, onsets), CFG.erp_len, n_f=4)
         assert np.abs(model.rho - reference[1]).max() < 1e-12
 
     def test_nf_clamped(self):
@@ -361,7 +363,7 @@ class TestFit:
 
     def test_sign_convention(self):
         rec, _ = random_problem(9)
-        model = fit_xdawn(rec)
+        model = fit_xdawn(rec, CFG.erp_len, CFG.n_f)
         for k in range(model.n_f):
             col = model.u[:, k]
             assert col[np.argmax(np.abs(col))] > 0
@@ -391,14 +393,14 @@ class TestApply:
 
     def test_events_preserved(self):
         rec, _ = random_problem(4)
-        model = fit_xdawn(rec)
+        model = fit_xdawn(rec, CFG.erp_len, CFG.n_f)
         assert apply_spatial_filter(model, rec).events == rec.events
 
 
 class TestSerialization:
     def test_json_roundtrip(self):
         rec, _ = random_problem(6)
-        model = fit_xdawn(rec)
+        model = fit_xdawn(rec, CFG.erp_len, CFG.n_f)
         again = SpatialFilterModel.from_json(model.to_json())
         assert np.array_equal(again.u, model.u)
         assert np.array_equal(again.rho, model.rho)
