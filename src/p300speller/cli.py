@@ -96,7 +96,7 @@ def load_config(args) -> RunConfig:
             raise ValidationError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{args.config}: {_not_utf8(exc)}") from exc
-        except RecursionError as exc:
+        except (RecursionError, ValueError) as exc:  # ValueError: an integer past 4,300 digits
             raise ValidationError(f"{args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")

@@ -3,10 +3,10 @@ filter -> epochs -> classifier -> character decoding -> metrics.
 
 Everything here is deterministic given its inputs; the functions exist so
 the CLI and the test suite drive the exact same code.  ``open_bundle``
-reads a bundle and checks it before any filtering: a bundle's schedule is
-checked by ``Schedule`` itself, ``schedule_from_bundle`` adds only that
-the events hold each of its flashes once, and ``design_filter`` is the one
-rule for a rate the chain takes.
+reads a bundle and checks it before any filtering: ``meta`` by the JSON
+types of ``session_io.manifest_field``, the schedule by ``Schedule``
+itself, and ``schedule_from_bundle`` adds only that the events hold each
+of its flashes once; ``design_filter`` is the one rule for a rate.
 """
 
 from dataclasses import dataclass
@@ -66,7 +66,7 @@ def open_bundle(path, cfg: PipelineConfig) -> tuple[dsp.Recording, Schedule]:
     fit ``design_filter`` is a ValidationError naming the bundle's fs_hz."""
     manifest = session_io.read_manifest(path)
     rec = session_io.read_session(path, manifest)
-    schedule = schedule_from_bundle(manifest, rec.events)
+    schedule = schedule_from_bundle(path, manifest, rec.events)
     try:
         design_filter(rec.fs_hz, cfg)
     except RateError as exc:
@@ -143,49 +143,33 @@ def schedule_meta(schedule: Schedule) -> dict:
     }
 
 
-def schedule_from_bundle(manifest: dict, events: Events) -> Schedule:
-    """Rebuild the Schedule a bundle was generated from (see schedule_meta);
+def schedule_from_bundle(path, manifest: dict, events: Events) -> Schedule:
+    """Rebuild the Schedule a bundle was generated from (see schedule_meta),
+    each ``meta`` field read by its JSON type (``session_io.manifest_field``);
     the pattern comes with the events, whose reader checked it."""
-    meta = manifest.get("meta", {})
+    fields = {key: session_io.manifest_field(path, manifest, f"meta.{key}", must_be, default)
+              for key, must_be, default in (
+                  ("paradigm", "a string", None), ("isi_s", "a JSON number", None),
+                  ("flash_duration_s", "a JSON number", None), ("reps", "a JSON integer", None),
+                  ("targets", "a list of [integer, integer] pairs", None),
+                  ("inter_char_gap_s", "a JSON number", 0.0))}
     try:
-        schedule = Schedule(
-            paradigm=meta["paradigm"],
-            isi_s=float(meta["isi_s"]),
-            flash_duration_s=float(meta["flash_duration_s"]),
-            reps=int(meta["reps"]),
-            targets=meta["targets"],
-            events=events,
-            inter_char_gap_s=float(meta.get("inter_char_gap_s", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        schedule = Schedule(**fields, events=events)
+    except ValidationError as exc:
         raise BundleError(f"session manifest lacks usable schedule metadata ({exc})") from exc
-    chars, reps, flash = len(schedule.targets), schedule.reps, events.is_flash
+    chars, reps, n, flash = len(schedule.targets), schedule.reps, schedule.n, events.is_flash
     keys = (events.char_index[flash], events.repetition[flash], events.block[flash],
             events.flash_id[flash] - 1)
-    grid = (chars, reps, 2, schedule.n)
-    # every key once: no fewer flashes than keys here, no two alike below
-    if keys[0].size < chars * reps * 2 * schedule.n:
-        c, r, b, i = _first_missing(keys, grid)
+    # each flash's rank in the grid's row-major order; the first gap lies within
+    # keys.size + 1 repetitions, and a flash past them clips to a rank after it
+    grid = (chars, min(reps, keys[0].size + 1), 2, n)
+    ranks = np.unique(np.ravel_multi_index(keys, grid, mode="clip"))
+    if keys[0].size < chars * reps * 2 * n:  # the first rank not there is the first gap
+        c, r, b, i = np.unravel_index(np.count_nonzero(ranks == np.arange(ranks.size)), grid)
         raise BundleError(
             f"no flash event for character {c}, repetition {r}, {BLOCKS[b]} block, flash id "
             f"{i + 1} of the schedule in meta: {chars} characters, {reps} repetitions"
         )
-    index = np.ravel_multi_index(keys, grid)
-    if np.unique(index).size < index.size:  # the decoder takes one score per flash
+    if ranks.size < keys[0].size:  # the decoder takes one score per flash
         raise BundleError("two flash events share a character, repetition, block and flash id")
     return schedule
-
-
-def _first_missing(keys, grid) -> tuple[int, ...]:
-    """The first key of ``grid``'s row-major order absent from ``keys``, which
-    are columns of in-grid keys, fewer than the grid holds.  The j-th sorted
-    distinct key is the grid's j-th key until the first gap, so only that
-    many keys are spelled out, never the grid."""
-    present = sorted(set(zip(*(column.tolist() for column in keys))))
-    for j in range(len(present) + 1):
-        rest, key = j, ()
-        for size in reversed(grid):
-            rest, digit = divmod(rest, size)
-            key = (digit,) + key
-        if j == len(present) or present[j] != key:
-            return key

@@ -10,8 +10,10 @@ Two paradigms are produced:
   then another pause before the next repetition (2N + 2 slots total).
   Two flashes of the same cell are therefore always >= 2 ISI apart.
 
-Onsets are laid out on a global grid of ISI slots; every event records
-its integer slot so interval statistics stay exact multiples of the ISI.
+Onsets are laid out on a global grid of ISI slots, each character's
+shifted by the inter-character gap; every event records its integer slot
+and character, from which ``target_intervals`` gives the one interval rule
+that the statistics and the synthetic blink gains share.
 The events of a session form one ``Events`` table of numpy columns; which
 cells a flash lights is a fact of its ``FlashPattern``, kept only there.
 A ``Schedule`` checks every rule of a schedule when made, here or from a
@@ -250,20 +252,19 @@ def _make_schedule(p, paradigm, reps, isi_s, targets, seed, flash_duration_s, ga
     return replace(schedule, events=events)
 
 
-def target_interval_stats(s: Schedule, threshold_s: float = 0.0) -> IntervalStats:
-    """Statistics over onset gaps between consecutive target flashes.
+def target_intervals(s: Schedule) -> np.ndarray:
+    """Each interval from one target flash to the next: the slots between them
+    times the ISI plus the characters between them times the inter-character
+    gap (``_make_schedule``'s grid), so equal steps give bit-equal intervals."""
+    hits = s.events[s.events.is_flash & s.events.is_target]
+    return np.diff(hits.slot) * s.isi_s + np.diff(hits.char_index) * s.inter_char_gap_s
 
-    Within one spelled character the gap is computed on the ISI slot grid
-    ((slot_b - slot_a) * isi), which keeps equal-slot gaps bit-identical;
-    across characters the raw onset difference is used so any configured
-    inter-character gap is included.
-    """
-    e = s.events
-    hits = e[e.is_flash & e.is_target]
-    if len(hits) < 2:
+
+def target_interval_stats(s: Schedule, threshold_s: float = 0.0) -> IntervalStats:
+    """Statistics over ``target_intervals``."""
+    ttis = target_intervals(s)
+    if ttis.size < 1:
         raise PipelineError("need at least two target flashes to compute intervals")
-    same_char = hits.char_index[1:] == hits.char_index[:-1]
-    ttis = np.where(same_char, np.diff(hits.slot) * s.isi_s, np.diff(hits.onset_s))
     return IntervalStats(
         min_tti_s=float(ttis.min()),
         mean_tti_s=float(ttis.mean()),

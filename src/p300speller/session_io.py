@@ -85,11 +85,20 @@ _EVENT_FIELDS = {
 }
 _KEY_FIELDS = ("kind", "block", "flash_id", "cells")
 _VARYING_FIELDS = tuple(name for name in _EVENT_FIELDS if name not in _KEY_FIELDS)
-# what a varying field's JSON value must be, as the error for a line names it,
-# and the types json.loads gives such a value (a bool is no JSON integer)
+# what a varying field's JSON value must be, as the error for a line names it
 _MUST_BE = {"char_index": "a JSON integer", "is_target": "true or false",
             "onset_s": "a JSON number", "repetition": "a JSON integer", "slot": "a JSON integer"}
-_JSON_TYPES = {"a JSON integer": (int,), "true or false": (bool,), "a JSON number": (int, float)}
+# the one JSON-type rule of an event field and of a manifest field: whether the
+# value json.loads gives is what the kind names (a bool is no JSON integer)
+_JSON_KINDS = {
+    "a JSON integer": lambda value: type(value) is int,
+    "a JSON number": lambda value: type(value) in (int, float),
+    "true or false": lambda value: type(value) is bool,
+    "a string": lambda value: type(value) is str,
+    "a list of strings": lambda value: type(value) is list and all(type(v) is str for v in value),
+    "a list of [integer, integer] pairs": lambda value: type(value) is list and all(
+        type(pair) is list and list(map(type, pair)) == [int, int] for pair in value),
+}
 # whole canonical lines, without groups, so that a match keeps no substrings
 _CANONICAL_LINES = (
     r"(?:\{" + ",".join(f'"{name}":(?:{regex})' for name, regex in _EVENT_FIELDS.items())
@@ -240,7 +249,7 @@ def read_manifest(path) -> dict:
         raise BundleError(f"no {MANIFEST_NAME} in {path}") from None
     except json.JSONDecodeError as exc:
         raise BundleError(f"{path / MANIFEST_NAME}: invalid JSON at line {exc.lineno}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or an integer past 4,300 digits
         raise BundleError(f"{path / MANIFEST_NAME}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleError(f"{path / MANIFEST_NAME}: not a JSON object")
@@ -251,31 +260,35 @@ def read_manifest(path) -> dict:
     return manifest
 
 
+def manifest_field(path, manifest: dict, name: str, must_be: str, default=None):
+    """The manifest's field ``name`` (``meta.<key>``: a key of its meta), which
+    must be ``must_be`` by its JSON type (``_JSON_KINDS``), a JSON number read
+    as a float (NaN and +-inf pass); absent, ``default``.  A value of another
+    type, or an absent one without a default, is a BundleError."""
+    section, _, key = name.rpartition(".")
+    fields, where = manifest.get(section, {}) if section else manifest, Path(path) / MANIFEST_NAME
+    if key not in fields and default is None:
+        raise BundleError(f"{where}: missing or unusable field ({name!r})")
+    value = fields.get(key, default)
+    if not _JSON_KINDS[must_be](value):
+        raise BundleError(f"{where}: {name} must be {must_be}, got {value!r}")
+    try:
+        return float(value) if must_be == "a JSON number" else value
+    except OverflowError as exc:  # an integer past float's range
+        raise BundleError(f"{where}: {name}: {exc}") from exc
+
+
 def read_session(path, manifest: dict | None = None) -> Recording:
     """Inverse of write_session; ``manifest``: its ``read_manifest``, if read."""
     path = Path(path)
     manifest = read_manifest(path) if manifest is None else manifest
-    try:
-        n_samples, n_channels, fs_hz, channel_names = (
-            manifest[name] for name in ("n_samples", "n_channels", "fs_hz", "channel_names"))
-    except KeyError as exc:
-        raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
-    for name, value, typed, must_be in (  # by JSON type, as json.loads gives them
-        ("n_samples", n_samples, type(n_samples) is int, "a JSON integer"),
-        ("n_channels", n_channels, type(n_channels) is int, "a JSON integer"),
-        ("fs_hz", fs_hz, type(fs_hz) in (int, float), "a JSON number"),
-        ("channel_names", channel_names,
-         type(channel_names) is list and all(type(c) is str for c in channel_names),
-         "a list of strings"),
-    ):
-        if not typed:
-            raise BundleError(f"{path / MANIFEST_NAME}: {name} must be {must_be}, got {value!r}")
-    try:
-        fs_hz, channel_names = float(fs_hz), tuple(channel_names)
-        if not (n_samples > 0 and n_channels == len(channel_names) > 0 and 0 < fs_hz < np.inf):
-            raise ValueError("needs samples, one name per channel and a finite rate > 0")
-    except (ValueError, OverflowError) as exc:  # OverflowError: an integer rate past float
-        raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field ({exc})") from exc
+    n_samples, n_channels, fs_hz, channel_names = (
+        manifest_field(path, manifest, name, must_be) for name, must_be in (
+            ("n_samples", "a JSON integer"), ("n_channels", "a JSON integer"),
+            ("fs_hz", "a JSON number"), ("channel_names", "a list of strings")))
+    if not (n_samples > 0 and n_channels == len(channel_names) > 0 and 0 < fs_hz < np.inf):
+        raise BundleError(f"{path / MANIFEST_NAME}: missing or unusable field (needs samples, "
+                          f"one name per channel and a finite rate > 0)")
     try:
         pattern = FlashPattern.from_json(manifest["meta"]["pattern"])
         pair_table(pattern)  # entries in 1..n, and each couple of flashes lights one cell
@@ -295,7 +308,8 @@ def read_session(path, manifest: dict | None = None) -> Recording:
     samples = np.frombuffer(mapping, dtype="<f4").reshape(n_samples, n_channels)
     events = _read_events(path / EVENTS_NAME, pattern)
     try:
-        return Recording(fs_hz=fs_hz, samples=samples, channel_names=channel_names, events=events)
+        return Recording(fs_hz=fs_hz, samples=samples, channel_names=tuple(channel_names),
+                         events=events)
     except ValidationError as exc:  # an onset outside the signal
         raise BundleError(f"{path / EVENTS_NAME}: {exc}") from exc
 
@@ -455,7 +469,7 @@ def _json_rows(path: Path, text: str) -> tuple[list, list]:
             values = {name: obj[name] for name in _EVENT_FIELDS}
             values.update((name, _EVENT_ENCODER.encode(values[name])) for name in _KEY_FIELDS)
             for name, must_be in _MUST_BE.items():
-                if type(values[name]) not in _JSON_TYPES[must_be]:
+                if not _JSON_KINDS[must_be](values[name]):
                     raise ValueError(f"{name} must be {must_be}, got {values[name]!r}")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise BundleError(f"{path} line {lineno}: {exc}") from exc

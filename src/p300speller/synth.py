@@ -45,7 +45,7 @@ import numpy as np
 
 from .dsp import DEFAULT_CHANNELS, Recording
 from .errors import ValidationError
-from .scheduler import Schedule
+from .scheduler import Schedule, target_intervals
 
 # background rows per block, 1 MiB at 8 channels: each block costs a draw call,
 # an lfilter call and a wait on the worker, and 16,384 rows keep those to 46 in
@@ -61,8 +61,8 @@ _RING = 2
 # with fs_hz, which nothing else bounds
 MAX_SIGNAL_VALUES = 2**31
 # the most float64 values the response products, all held for the whole render,
-# may take (products x longest kernel x channels): 2**27, 1 GiB, 690 times the
-# default cp300 protocol's 26 x 940 x 8; they grow with fs_hz and the distinct
+# may take (products x longest kernel x channels): 2**27, 1 GiB, 2,231 times the
+# default cp300 protocol's 8 x 940 x 8; they grow with fs_hz and the distinct
 # blink gains, and a short session at a high rate passes the signal ceiling
 MAX_RESPONSE_VALUES = 2**27
 FWHM_SIGMA = 2.3548200450309493  # a Gaussian's full width at half maximum / sigma
@@ -178,8 +178,8 @@ def synthesize_session(
     """Render a schedule into a synthetic recording.
 
     Target flashes add every template, scaled by the blink gain of the
-    time elapsed since the previous target flash (``blink=None`` disables
-    attenuation).  Non-target flashes add nothing unless
+    interval from the previous target flash (``scheduler.target_intervals``;
+    ``blink=None`` disables attenuation).  Non-target flashes add nothing unless
     ``visual_templates`` is given, in which case those are added at every
     flash, unattenuated.  ``onset_jitter_s`` shifts each response onset by
     a uniform amount in [-j, +j]; the embedded events keep the true
@@ -213,7 +213,7 @@ def synthesize_session(
                               f"{seconds * fs_hz:.4g} samples x {n_ch} channels, more than the "
                               f"{MAX_SIGNAL_VALUES} values allowed")
     flashes = schedule.events[schedule.events.is_flash]
-    ttis = np.diff(flashes.onset_s[flashes.is_target]).tolist()
+    ttis = target_intervals(schedule).tolist()
     gains = [1.0] + [blink.gain(tti) if blink is not None else 1.0 for tti in ttis]
     products = len(set(gains)) * len(templates) + len(visual_templates)
     longest = max((tpl.length(fs_hz) for tpl in templates + visual_templates), default=0)

@@ -255,6 +255,17 @@ class TestSimulate:
         assert err == f"error: {message.format(cfg=cfg)}\n"
         assert not (tmp_path / "s").exists()
 
+    def test_config_integer_past_4300_digits_exits_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for it, which once escaped as a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"reps": ' + "1" * 4301 + "}")
+        code, _, err = run(
+            ["simulate", "--out", str(tmp_path / "s"), "--seed", "1", "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 2 and err.startswith(f"error: {cfg}: Exceeds the limit (4300")
+        assert "4301 digits" in err and not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("raw, line, byte", [(b"\xff\xfe{", 1, 0),
                                                  (b'{\n"target_text": "\xe9"}', 2, 18)],
                              ids=["first-byte", "second-line"])
@@ -879,24 +890,33 @@ class TestCorruptBundles:
         assert code == 3
         assert err.startswith("i/o error: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value, reason", [
-        ("targets", [[10**30, 1]], f"target cell ({10**30}, 1) outside the 6x6 grid"),
-        ("targets", [[99, 99]], "target cell (99, 99) outside the 6x6 grid"),
-        ("targets", [[-1, 0]], "target cell (-1, 0) outside the 6x6 grid"),
-        ("targets", [[1.0, 1]], "'float' object cannot be interpreted as an integer"),
-        ("isi_s", float("inf"), "ISI must be positive and finite, got inf"),
-        ("flash_duration_s", "nan", "flash duration must lie in (0, ISI], got nan"),
-        ("inter_char_gap_s", float("nan"), "inter-character gap must be finite and >= 0, got nan"),
+    # a schedule rule's message, or ("{manifest}" formatted) the typed message
+    # of a value that is not of the field's JSON type
+    RULE = "session manifest lacks usable schedule metadata ({})"
+    TYPED = "{manifest}: meta.{key} must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("targets", [[10**30, 1]], RULE.format(f"target cell ({10**30}, 1) outside the 6x6 grid")),
+        ("targets", [[99, 99]], RULE.format("target cell (99, 99) outside the 6x6 grid")),
+        ("targets", [[-1, 0]], RULE.format("target cell (-1, 0) outside the 6x6 grid")),
+        ("targets", [[1.0, 1]], TYPED.replace("{kind}", "a list of [integer, integer] pairs")),
+        ("isi_s", float("inf"), RULE.format("ISI must be positive and finite, got inf")),
+        ("isi_s", True, TYPED.replace("{kind}", "a JSON number")),  # once an ISI of 1 s, exit 0
+        ("isi_s", 10**400, "{manifest}: meta.isi_s: int too large to convert to float"),
+        ("flash_duration_s", "nan", TYPED.replace("{kind}", "a JSON number")),
+        ("inter_char_gap_s", float("nan"),
+         RULE.format("inter-character gap must be finite and >= 0, got nan")),
     ], ids=["target-1e30", "target-99", "target-negative", "target-float", "isi-infinity",
-            "duration-text-nan", "gap-nan"])
-    def test_unusable_schedule_exits_3(self, session_pair, tmp_path, capsys, key, value, reason):
+            "isi-true", "isi-past-float", "duration-text-nan", "gap-nan"])
+    def test_unusable_schedule_exits_3(self, session_pair, tmp_path, capsys, key, value, message):
         # a targets value replaces the first of the six (A..F: cells (1, 1)..(1, 6))
         shutil.copytree(session_pair / "b", tmp_path / "b")
         targets = [[1, col] for col in range(2, 7)]
-        _set("meta", key, value + targets if key == "targets" else value)(tmp_path / "b")
+        value = value + targets if key == "targets" else value
+        _set("meta", key, value)(tmp_path / "b")
         code, _, err = run(eval_argv(session_pair / "a", tmp_path / "b", tmp_path / "e"), capsys)
-        assert (code, err) == (3, f"i/o error: session manifest lacks usable schedule metadata "
-                                  f"({reason})\n")
+        message = message.format(manifest=tmp_path / "b" / "manifest.json", key=key, value=value)
+        assert (code, err) == (3, f"i/o error: {message}\n")
         assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("flag", [True, False])
@@ -946,6 +966,17 @@ class TestCorruptBundles:
         assert (code, err) == (3, "i/o error: no flash event for character 0, repetition 3, "
                                   "row block, flash id 1 of the schedule in meta: 6 characters, "
                                   f"{reps} repetitions\n")
+
+    def test_manifest_integer_past_4300_digits_exits_3(self, session_pair, tmp_path, capsys):
+        # json.loads raises a plain ValueError for it, which once escaped as a traceback
+        shutil.copytree(session_pair / "b", tmp_path / "b")
+        _set("meta", "reps", 0)(tmp_path / "b")
+        path = tmp_path / "b" / "manifest.json"
+        path.write_text(path.read_text().replace('"reps": 0', '"reps": ' + "1" * 4301))
+        code, _, err = run(["train", "--session", str(tmp_path / "b"), "--out",
+                            str(tmp_path / "m")], capsys)
+        assert code == 3 and err.startswith(f"i/o error: {path}: Exceeds the limit (4300")
+        assert "4301 digits" in err
 
     def test_manifest_not_json_exits_3(self, session_pair, tmp_path, capsys):
         shutil.copytree(session_pair / "b", tmp_path / "b")

@@ -106,9 +106,18 @@ MANIFEST_TYPE_EDITS = [
     ("channel_names", "string"), ("channel_names", "integers"),
     ("format_version", "true"), ("format_version", "fraction"),
 ]
+# a meta field of the schedule given another JSON type than it has: each exits
+# 3 naming meta.<key>, where a coercion once read "10" or 10.9 as 10 repetitions
+# and true as an ISI of 1 s
+META_TYPE_EDITS = [
+    ("reps", "10"), ("reps", 10.9), ("reps", 10.0), ("reps", True),
+    ("isi_s", "0.133"), ("isi_s", True), ("flash_duration_s", "nan"), ("flash_duration_s", None),
+    ("inter_char_gap_s", "0"), ("paradigm", 5), ("targets", [[1.0, 1]]),
+]
 BUNDLE_CHANGES = st.one_of(
     st.tuples(st.just("manifest"), st.sampled_from(MANIFEST_KEYS), JSON_VALUES),
     st.tuples(st.just("manifest-type"), st.sampled_from(MANIFEST_TYPE_EDITS), st.none()),
+    st.tuples(st.just("meta-type"), st.sampled_from(META_TYPE_EDITS), st.none()),
     st.tuples(st.just("meta"), st.sampled_from(META_KEYS), JSON_VALUES),
     st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True), st.none()),
     st.tuples(st.just("event"), st.integers(0, 10**6), st.one_of(
@@ -169,6 +178,8 @@ def small_bundle(tmp_path_factory):
 
 def corrupt(bundle: Path, change) -> None:
     kind, where, value = change
+    if kind == "meta-type":
+        kind, (where, value) = "meta", where
     if kind in ("manifest", "meta", "manifest-type"):
         manifest = json.loads((bundle / "manifest.json").read_text())
         if kind == "manifest-type":
@@ -196,8 +207,9 @@ def corrupt(bundle: Path, change) -> None:
 
 
 def manifest_type_examples(test):
-    for edit in MANIFEST_TYPE_EDITS:
-        test = example(change=("manifest-type", edit, None))(test)
+    for kind, edits in (("manifest-type", MANIFEST_TYPE_EDITS), ("meta-type", META_TYPE_EDITS)):
+        for edit in edits:
+            test = example(change=(kind, edit, None))(test)
     return test
 
 
@@ -214,8 +226,11 @@ def test_any_bundle(small_bundle, change):
             run_twice(["eval", "--train-session", small_bundle, "--test-session", tmp / "b",
                        "--out", tmp / "e", "--swap"]),
         ]
-        if change[0] == "manifest-type":
-            field = change[1][0]
+        if change[0] in ("manifest-type", "meta-type"):
+            # and as the train session of an eval
+            results.append(run_twice(["eval", "--train-session", tmp / "b", "--test-session",
+                                      small_bundle, "--out", tmp / "e", "--swap"]))
+            field = change[1][0] if change[0] == "manifest-type" else f"meta.{change[1][0]}"
             for code, err in results:
                 assert code == 3 and f"{tmp / 'b' / 'manifest.json'}: " in err and field in err
 

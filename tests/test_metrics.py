@@ -115,6 +115,12 @@ class TestPairedT:
         assert t == pytest.approx(2 * math.sqrt(3), abs=1e-4)
         assert df == 2
 
+    def test_two_pairs_are_enough(self):
+        # the smallest sample: one degree of freedom, where t is Cauchy-distributed
+        t, df, p = paired_t_test([3.0, 5.0], [1.0, 2.0])
+        assert (t, df) == (pytest.approx(5.0), 1)
+        assert p == pytest.approx(1 - 2 * math.atan(5.0) / math.pi, rel=1e-12)
+
     def test_constant_shift_degenerate(self):
         with pytest.raises(PipelineError, match="zero variance"):
             paired_t_test([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])

@@ -127,7 +127,7 @@ class TestBundleRoundTrip:
         (rec, sched), _ = make_pair("xp300", 5, reps=3)
         write_session(rec, tmp_path / "s", meta=schedule_meta(sched))
         again = read_session(tmp_path / "s")
-        rebuilt = schedule_from_bundle(read_manifest(tmp_path / "s"), again.events)
+        rebuilt = schedule_from_bundle(tmp_path / "s", read_manifest(tmp_path / "s"), again.events)
         assert rebuilt.paradigm == sched.paradigm
         assert rebuilt.targets == sched.targets
         assert rebuilt.events == sched.events
@@ -141,7 +141,8 @@ class TestBundleRoundTrip:
         write_session(test, tmp_path / "test", meta=schedule_meta(sched))
         train_again = read_session(tmp_path / "train")
         test_again = read_session(tmp_path / "test")
-        sched_again = schedule_from_bundle(read_manifest(tmp_path / "test"), test_again.events)
+        sched_again = schedule_from_bundle(tmp_path / "test", read_manifest(tmp_path / "test"),
+                                           test_again.events)
         again = evaluate(
             preprocess(train_again, cfg), preprocess(test_again, cfg), sched_again, cfg
         )

@@ -18,6 +18,7 @@ from p300speller.scheduler import (
     make_xp300_schedule,
     slots_per_repetition,
     target_interval_stats,
+    target_intervals,
 )
 from p300speller.session_io import events_jsonl, read_session, write_session
 
@@ -210,15 +211,16 @@ class TestIntervalStats:
             target_interval_stats(s)
 
     def test_matches_loop_reference(self, con6):
-        # the pairwise loop the vectorised gaps replaced
+        # the pairwise loop of the one interval rule: slots times the ISI plus
+        # characters times the gap
         s = make_xp300_schedule(con6, reps=4, isi_s=ISI, targets=[(4, 2), (1, 6)], seed=6,
                                 inter_char_gap_s=0.5)
         e = s.events[s.events.is_flash & s.events.is_target]
         ttis = [
-            (e.slot[b] - e.slot[b - 1]) * ISI if e.char_index[b] == e.char_index[b - 1]
-            else e.onset_s[b] - e.onset_s[b - 1]
+            (e.slot[b] - e.slot[b - 1]) * ISI + (e.char_index[b] - e.char_index[b - 1]) * 0.5
             for b in range(1, len(e))
         ]
+        assert target_intervals(s).tolist() == ttis
         stats = target_interval_stats(s, threshold_s=0.5)
         assert stats.min_tti_s == min(ttis) and stats.max_tti_s == max(ttis)
         assert stats.mean_tti_s == float(np.mean(ttis))

@@ -11,9 +11,9 @@ from p300speller import session_io, synth
 from p300speller.cli import DEFAULT_TARGET_TEXT, main
 from p300speller.dsp import DEFAULT_CHANNELS
 from p300speller.errors import ValidationError
-from p300speller.patterns import make_constrained_pattern
+from p300speller.patterns import make_constrained_pattern, make_rc_pattern
 from p300speller.pipeline import PipelineConfig, evaluate, preprocess
-from p300speller.scheduler import make_xp300_schedule
+from p300speller.scheduler import make_cp300_schedule, make_xp300_schedule, target_intervals
 from p300speller.synth import (
     BlinkModel,
     ErpTemplate,
@@ -195,14 +195,23 @@ class TestSynthesize:
         floor = blink.gain(2 * ISI)
         for seed in range(10):
             sched = make_xp300_schedule(pat, reps=20, isi_s=ISI, targets=[(5, 2)], seed=seed)
-            prev = None
-            for onset, is_target in zip(sched.events.onset_s, sched.events.is_target):
-                if not is_target:
-                    continue
-                if prev is not None:
-                    # 1e-9 absorbs float jitter in onset differences
-                    assert blink.gain(onset - prev) >= floor - 1e-9
-                prev = onset
+            assert min(map(blink.gain, target_intervals(sched).tolist())) >= floor
+
+    @pytest.mark.parametrize("make, pattern, gains", [
+        (make_cp300_schedule, make_rc_pattern(6), 4),
+        (make_xp300_schedule, make_constrained_pattern(6), 3),
+    ], ids=["cp300", "xp300"])
+    def test_distinct_gains_do_not_grow_with_the_session(self, make, pattern, gains):
+        """Equal slot steps give bit-equal intervals anywhere in a session, so
+        200 characters hold the blink gains of 20 (at 0.133 s: one, two, three
+        and more ISIs; xp300 never flashes a target twice in a row), not the
+        9-18 that float noise in onset differences made of them."""
+        blink, found = BlinkModel(), []
+        for chars in (20, 200):
+            targets = [(1 + k % 6, 1 + k * 5 // 3 % 6) for k in range(chars)]
+            sched = make(pattern, reps=10, isi_s=ISI, targets=targets, seed=7)
+            found.append(set(map(blink.gain, target_intervals(sched).tolist())))
+        assert found[0] == found[1] and len(found[0]) == gains
 
 
 class TestChanceLevel:
@@ -591,9 +600,9 @@ class TestStreamedSimulate:
         differ by no more than half a float64 block plus 0.4 of a block, though
         the signal grows by ~20 MiB and the events text by ~0.4 MiB, and the
         first is a few blocks.  The 0.4 is for the response table, which holds
-        one product per distinct blink gain: equal target-to-target intervals
-        at other onsets can round to other gains, 12 more at 200 characters
-        (24 arrays, 0.38 of a block)."""
+        one product per distinct blink gain: intervals from onset differences
+        gave 12 more at 200 characters (24 arrays, 0.38 of a block); those of
+        ``scheduler.target_intervals`` give the gains of 20."""
         import tracemalloc
 
         import scipy.signal  # noqa: F401  (imported lazily by the renderer; not its memory)
